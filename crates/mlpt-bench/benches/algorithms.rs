@@ -58,6 +58,17 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(StoppingPoints::exact(0.05, 128)));
     });
 
+    // The per-destination constructor: clones the process-wide 95 %
+    // table, so it costs nanoseconds. A per-call table build would show
+    // here as the millisecond figure of the entry above.
+    c.bench_function("config/trace_config_new", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            black_box(TraceConfig::new(black_box(seed)))
+        });
+    });
+
     c.bench_function("analytic/mda_failure_meshed48", |b| {
         let topo = canonical::meshed();
         let nks = StoppingPoints::mda95();

@@ -32,6 +32,10 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// Defaults: 95 % stopping points, φ = 2.
+    ///
+    /// Cheap enough to call once per destination: the stopping table is
+    /// built once per process (about 2 ms, on the first call of
+    /// [`StoppingPoints::mda95`]) and cloned here after that.
     pub fn new(seed: u64) -> Self {
         Self {
             stopping: StoppingPoints::mda95(),

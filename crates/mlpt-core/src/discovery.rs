@@ -8,7 +8,7 @@
 //! [`Discovery`] is that evidence base; the algorithms differ only in how
 //! they decide which probe to send next.
 
-use mlpt_wire::FlowId;
+use mlpt_wire::{FlowId, ZERO_PORT_FLOW};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -340,37 +340,43 @@ impl Discovery {
 }
 
 /// Allocator handing out previously unused flow identifiers, seeded and
-/// deterministic.
+/// deterministic. It never hands out [`ZERO_PORT_FLOW`], whose probes
+/// would carry the invalid source port 0.
 #[derive(Debug)]
 pub struct FlowAllocator {
     rng: ChaCha8Rng,
+    /// Flows no longer drawable: those handed out or reserved, and
+    /// [`ZERO_PORT_FLOW`] from the start.
     handed_out: BTreeSet<FlowId>,
 }
+
+/// Size of the 16-bit flow-ID space, [`ZERO_PORT_FLOW`] included.
+const FLOW_SPACE: usize = 1 << 16;
 
 impl FlowAllocator {
     /// Creates an allocator with its own stream of randomness.
     pub fn new(seed: u64) -> Self {
         Self {
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_F10E_5EED_F10E),
-            handed_out: BTreeSet::new(),
+            handed_out: BTreeSet::from([ZERO_PORT_FLOW]),
         }
     }
 
     /// Draws a fresh flow ID never handed out before.
     ///
     /// # Panics
-    /// Panics if the 16-bit flow space is exhausted (65 536 flows —
-    /// far beyond any trace's needs; a trace that hungry is a bug).
+    /// Panics if the flow space is exhausted (65 535 usable flows — far
+    /// beyond any trace's needs; a trace that hungry is a bug).
     pub fn fresh(&mut self) -> FlowId {
         self.try_fresh().expect("flow space exhausted")
     }
 
-    /// Draws a fresh flow ID, or `None` once the 16-bit flow space is
-    /// exhausted. Sessions whose flow hunts can run long (node control
+    /// Draws a fresh flow ID, or `None` once all 65 535 usable flows are
+    /// taken. Sessions whose flow hunts can run long (node control
     /// against a route that keeps changing) use this to give up on the
     /// hunt honestly instead of panicking mid-sweep.
     pub fn try_fresh(&mut self) -> Option<FlowId> {
-        if self.handed_out.len() >= usize::from(u16::MAX) {
+        if self.handed_out.len() >= FLOW_SPACE {
             return None;
         }
         loop {
@@ -458,6 +464,28 @@ mod tests {
         assert_eq!(fa, fb);
         let unique: BTreeSet<_> = fa.iter().collect();
         assert_eq!(unique.len(), fa.len());
+    }
+
+    #[test]
+    fn allocator_drains_every_usable_flow_and_never_the_zero_port_one() {
+        use mlpt_wire::probe::{build_udp_probe, parse_udp_probe, ProbePacket};
+        let mut a = FlowAllocator::new(3);
+        let mut drawn = BTreeSet::new();
+        while let Some(flow) = a.try_fresh() {
+            assert!(drawn.insert(flow), "{flow} handed out twice");
+        }
+        assert_eq!(drawn.len(), 65_535);
+        assert!(!drawn.contains(&FlowId(32102)));
+        for &flow in &drawn {
+            let probe = ProbePacket {
+                source: addr(0, 1),
+                destination: addr(9, 9),
+                flow,
+                ttl: 7,
+                sequence: flow.value(),
+            };
+            assert_eq!(parse_udp_probe(&build_udp_probe(&probe)), Ok(probe));
+        }
     }
 
     #[test]

@@ -17,11 +17,20 @@ use serde::{Deserialize, Serialize};
 /// Fixed UDP destination port for probes (the traditional traceroute port).
 pub const PARIS_DPORT: u16 = 33434;
 
-/// Base source port: `FlowId(k)` is sent with source port `BASE + k`.
+/// Base source port: `FlowId(k)` is sent with source port `BASE + k`
+/// (mod 2¹⁶).
 ///
-/// Chosen so the full 16-bit flow space stays within valid ephemeral ports
-/// for reasonable `k` while avoiding well-known ports.
+/// Small `k` land in the ephemeral range, away from well-known ports.
+/// Large `k` wrap around the port ring, and exactly one of them,
+/// [`ZERO_PORT_FLOW`], wraps to the invalid source port 0, so only
+/// 65 535 of the 65 536 flow IDs are usable on the wire.
 pub const PARIS_BASE_SPORT: u16 = 33434;
+
+/// The flow ID whose source port wraps to 0 (`PARIS_BASE_SPORT + k` =
+/// 2¹⁶). Port 0 is not a valid UDP source port: the probe parser and
+/// the simulator reject it, so a probe on this flow never gets a reply.
+/// Flow allocators must never hand it out.
+pub const ZERO_PORT_FLOW: FlowId = FlowId(0u16.wrapping_sub(PARIS_BASE_SPORT));
 
 /// An abstract flow identifier, the unit the MDA and MDA-Lite manipulate.
 ///
@@ -33,17 +42,18 @@ pub struct FlowId(pub u16);
 
 impl FlowId {
     /// The UDP source port that encodes this flow ID.
+    ///
+    /// Distinct flows get distinct ports. [`ZERO_PORT_FLOW`] gets the
+    /// invalid port 0, which [`FlowId::from_source_port`] rejects.
     pub fn source_port(self) -> u16 {
         PARIS_BASE_SPORT.wrapping_add(self.0)
     }
 
     /// Recovers the flow ID from a probe's UDP source port.
     ///
-    /// Returns `None` if the port is outside the Paris range (i.e. not one
-    /// of our probes).
+    /// Returns `None` for port 0, the one port that encodes no flow.
     pub fn from_source_port(port: u16) -> Option<Self> {
-        // Wrapping distance from base; accept the full u16 ring since the
-        // mapping is a bijection, but reject the pathological zero port.
+        // Wrapping distance from base; every non-zero port is a flow's port.
         if port == 0 {
             return None;
         }

@@ -30,7 +30,7 @@ pub mod probe;
 pub mod transport;
 pub mod udp;
 
-pub use flow::{FlowId, PARIS_BASE_SPORT, PARIS_DPORT};
+pub use flow::{FlowId, PARIS_BASE_SPORT, PARIS_DPORT, ZERO_PORT_FLOW};
 pub use icmp::{IcmpMessage, IcmpType, MplsLabelStackEntry};
 pub use ipv4::Ipv4Header;
 pub use probe::{
