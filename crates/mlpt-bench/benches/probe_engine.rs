@@ -1,28 +1,22 @@
-//! Batched vs single-probe dispatch: the probe engine's before/after.
+//! Probe-engine throughput: the batched dispatch path in absolute terms.
 //!
-//! Every pair below runs the *same* trace workload twice:
+//! * **dispatch** — a whole MDA-Lite trace through [`TransportProber`]:
+//!   vectorized `send_batch` rounds, reusable packet/reply buffers and
+//!   interned-address routing tables, plus the tracing algorithm's CPU;
+//! * **transport** — the same traceroute-round workload (every TTL for
+//!   128 flows) pushed through one [`SimNetwork`] `send_batch` call.
 //!
-//! * **batched** — the current engine: vectorized `send_batch` rounds,
-//!   reusable packet/reply buffers, interned-address routing tables;
-//! * **single** — the legacy path preserved in
-//!   [`mlpt_bench::reference::ReferenceNetwork`]: one allocating
-//!   `send_packet` per probe over per-packet `HashMap` lookups, driven by
-//!   `DispatchMode::PerProbe` (a unit test asserts both paths do
-//!   identical work, probe for probe).
-//!
-//! Besides the human-readable criterion output, results and pairwise
-//! speedups are written to `BENCH_probe_engine.json` at the workspace
-//! root for machine consumption.
+//! Besides the human-readable criterion output, results are written to
+//! `BENCH_probe_engine.json` at the workspace root for machine
+//! consumption.
 
 use criterion::{black_box, Bencher, Criterion};
-use mlpt_bench::reference::ReferenceNetwork;
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_sim::SimNetwork;
 use mlpt_survey::{InternetConfig, SyntheticInternet};
 use mlpt_topo::{canonical, MultipathTopology};
 use mlpt_wire::probe::{build_udp_probe_into, ProbePacket};
-use mlpt_wire::transport::{BatchTransport, PacketBatch, PacketTransport, ReplyBatch};
+use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch};
 use mlpt_wire::FlowId;
 use serde_json::json;
 use std::io::Write;
@@ -42,20 +36,8 @@ fn bench_trace_batched(b: &mut Bencher, topo: &MultipathTopology) {
     });
 }
 
-fn bench_trace_single(b: &mut Bencher, topo: &MultipathTopology) {
-    let mut net = ReferenceNetwork::new(topo.clone(), 7);
-    let mut seed = 0u64;
-    b.iter(|| {
-        seed += 1;
-        let mut prober = TransportProber::new(&mut net, SRC, topo.destination())
-            .with_dispatch(DispatchMode::PerProbe);
-        black_box(trace_mda_lite(&mut prober, &TraceConfig::new(seed)))
-    });
-}
-
-/// Raw transport throughput: the same traceroute-round workload (every
-/// TTL of the topology for 128 flows), dispatched as one batch vs probe
-/// by probe.
+/// Raw transport throughput: one traceroute-round workload (every TTL
+/// of the topology for 128 flows), dispatched as one batch.
 fn bench_transport(c: &mut Criterion, topo: &MultipathTopology, name: &str) {
     let dst = topo.destination();
     let mut batch = PacketBatch::new();
@@ -84,19 +66,6 @@ fn bench_transport(c: &mut Criterion, topo: &MultipathTopology, name: &str) {
             black_box(replies.len())
         });
     });
-
-    c.bench_function(&format!("transport/single/{name}"), |b| {
-        let mut net = ReferenceNetwork::new(topo.clone(), 7);
-        b.iter(|| {
-            let mut answered = 0usize;
-            for packet in batch.iter() {
-                if net.send_packet(black_box(packet)).is_some() {
-                    answered += 1;
-                }
-            }
-            black_box(answered)
-        });
-    });
 }
 
 fn main() {
@@ -107,18 +76,12 @@ fn main() {
     c.bench_function("dispatch/batched/fig1_diamond", |b| {
         bench_trace_batched(b, &fig1)
     });
-    c.bench_function("dispatch/single/fig1_diamond", |b| {
-        bench_trace_single(b, &fig1)
-    });
 
     // The 48-wide meshed diamond: survey-scale probing volume.
     let meshed = canonical::meshed();
     let mut heavy = Criterion::default().sample_size(10);
     heavy.bench_function("dispatch/batched/meshed48", |b| {
         bench_trace_batched(b, &meshed)
-    });
-    heavy.bench_function("dispatch/single/meshed48", |b| {
-        bench_trace_single(b, &meshed)
     });
 
     // A synthetic-Internet scenario end to end, like a survey run.
@@ -127,9 +90,6 @@ fn main() {
     let survey_topo = scenario.topology.clone();
     heavy.bench_function("dispatch/batched/survey_scenario", |b| {
         bench_trace_batched(b, &survey_topo)
-    });
-    heavy.bench_function("dispatch/single/survey_scenario", |b| {
-        bench_trace_single(b, &survey_topo)
     });
 
     // Raw transport dispatch: the probe path itself, on the fig-1
@@ -156,50 +116,12 @@ fn main() {
         }));
     }
 
-    let median_of = |id: String| -> Option<f64> {
-        all.iter()
-            .find(|r| r.id == id)
-            .map(|r| r.median.as_secs_f64())
-    };
-    let mut speedups = serde_json::Map::new();
-    for pair in [
-        "dispatch/fig1_diamond",
-        "dispatch/meshed48",
-        "dispatch/survey_scenario",
-        "transport/fig1_diamond",
-        "transport/survey_scenario",
-        "transport/meshed48",
-    ] {
-        let (kind, name) = pair.split_once('/').expect("kind/name");
-        if let (Some(batched), Some(single)) = (
-            median_of(format!("{kind}/batched/{name}")),
-            median_of(format!("{kind}/single/{name}")),
-        ) {
-            speedups.insert(pair.replace('/', "_"), json!(single / batched));
-        }
-    }
-
-    let headline_diamond = median_of("transport/single/fig1_diamond".into())
-        .zip(median_of("transport/batched/fig1_diamond".into()))
-        .map(|(s, b)| s / b);
-    let headline_survey = median_of("transport/single/survey_scenario".into())
-        .zip(median_of("transport/batched/survey_scenario".into()))
-        .map(|(s, b)| s / b);
-
     let payload = json!({
         "benchmark": "probe_engine",
-        // Headline numbers: probe-dispatch throughput, batched engine vs
-        // the legacy per-probe path, on the fig-1 diamond and a
-        // survey-style scenario. The `dispatch/*` pairs below additionally
-        // include the (shared) tracing-algorithm CPU and therefore show
-        // the Amdahl-limited whole-trace effect.
-        "dispatch_speedup_diamond": headline_diamond,
-        "dispatch_speedup_survey": headline_survey,
-        "description": "batched dispatch (vectorized send_batch + interned SimNetwork) \
-                        vs the legacy per-probe path (allocating send_packet + HashMap \
-                        lookups); identical probing work per pair",
+        "description": "batched dispatch (vectorized send_batch over the interned \
+                        SimNetwork): whole MDA-Lite traces (dispatch/*) and one \
+                        128-flow round per iteration (transport/*)",
         "results": results,
-        "speedup_batched_over_single": serde_json::Value::Object(speedups),
     });
 
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_probe_engine.json");

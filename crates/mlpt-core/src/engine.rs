@@ -87,9 +87,10 @@
 //! * a per-session **stall watchdog** ([`SweepConfig::stall_rounds`]):
 //!   a session whose last N rounds each resolved with zero replies is
 //!   aborted ([`ProbeSession::abort`]) and reported with
-//!   [`TraceOutcome::Partial`] — the caller gets the honest prefix of
-//!   the topology instead of a hang (or, with retries, an unbounded
-//!   probe burn into a black hole);
+//!   [`TraceOutcome::Partial`](crate::trace::TraceOutcome::Partial) —
+//!   the caller gets the honest prefix of the topology instead of a
+//!   hang (or, with retries, an unbounded probe burn into a black
+//!   hole);
 //! * per-lane **backoff depth**: consecutive lossy retry waves (any
 //!   probe unanswered) deepen the lane's deadline exponent (reusing the AIMD loss signal
 //!   at wave granularity), so a rate-limited or congested lane waits
@@ -393,7 +394,7 @@ pub struct SweepStats {
     pub reprobes_sent: u64,
     /// Sessions whose recovery budget ran out mid-route-change: they
     /// finalized honestly as
-    /// [`PartialReason::RouteChanged`](crate::trace::PartialReason::RouteChanged).
+    /// [`PartialReason::RouteChanged`].
     pub route_changed_partials: u64,
     /// Adopted stop-set predictions contradicted by later firsthand
     /// replies. Each one was repaired in place (the firsthand record

@@ -2,7 +2,7 @@
 //!
 //! Tracing algorithms think in terms of "send flow f at TTL t, which
 //! interface answered?" — the [`Prober`] trait. [`TransportProber`]
-//! implements it over any [`BatchTransport`] by building real probe
+//! implements it over any [`PacketTransport`] by building real probe
 //! datagrams and parsing real replies, so every algorithmic probe
 //! round-trips through the wire substrate exactly as a real tool's
 //! packets would.
@@ -12,12 +12,13 @@
 //! (e.g. every flow identifier a hop still owes under the stopping rule)
 //! across the transport in one call; `TransportProber` encodes the round
 //! into a reusable [`PacketBatch`], dispatches it with one
-//! [`BatchTransport::send_batch`], and decodes the packed replies — no
+//! [`PacketTransport::send_batch`], and decodes the packed replies — no
 //! per-probe allocations, no per-probe virtual dispatch. The default
 //! trait implementation falls back to sequential `probe` calls, so any
-//! `Prober` is batch-callable. Batched and sequential dispatch produce
-//! bit-identical observation streams on a synchronous transport (same
-//! packet order, same sequence numbers, same clock progression).
+//! `Prober` is batch-callable, and that default is the reference the
+//! batched path is tested against: both produce bit-identical
+//! observation streams on a synchronous transport (same packet order,
+//! same sequence numbers, same clock progression).
 //!
 //! Every observation (interface, IP ID, reply TTL, MPLS labels,
 //! timestamp) is also recorded in a [`ProbeLog`], which is the "for free"
@@ -28,7 +29,7 @@ use mlpt_wire::icmp::MplsLabelStackEntry;
 use mlpt_wire::probe::{
     build_echo_probe, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind, ReplyPacket,
 };
-use mlpt_wire::transport::{BatchTransport, PacketBatch, PacketTransport, ReplyBatch};
+use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch};
 use mlpt_wire::FlowId;
 use std::net::Ipv4Addr;
 
@@ -56,18 +57,6 @@ impl ProbeSpec {
     pub fn new(flow: FlowId, ttl: u8) -> Self {
         Self { flow, ttl }
     }
-}
-
-/// How a [`TransportProber`] moves probes across the transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Vectorized: whole rounds through [`BatchTransport::send_batch`]
-    /// with reusable packet/reply buffers (the fast path).
-    #[default]
-    Batched,
-    /// Legacy one-probe-at-a-time dispatch. Kept for benchmarking the
-    /// batched path against its predecessor and for equivalence tests.
-    PerProbe,
 }
 
 /// What one traceroute-style (indirect) probe observed.
@@ -173,7 +162,7 @@ pub struct ProbeLog {
     pub direct: Vec<DirectObservation>,
 }
 
-/// A [`Prober`] over a [`BatchTransport`], building and parsing real
+/// A [`Prober`] over a [`PacketTransport`], building and parsing real
 /// packets. Batched rounds reuse the packet/reply scratch buffers below,
 /// so steady-state probing performs no heap allocations on the send path.
 pub struct TransportProber<T: PacketTransport> {
@@ -184,7 +173,6 @@ pub struct TransportProber<T: PacketTransport> {
     echo_identifier: u16,
     retries: u8,
     probes_sent: u64,
-    dispatch: DispatchMode,
     log: ProbeLog,
     /// Reusable encode buffer for one round of probe packets.
     scratch_packets: PacketBatch,
@@ -205,7 +193,6 @@ impl<T: PacketTransport> TransportProber<T> {
             echo_identifier: ECHO_IDENTIFIER,
             retries: 0,
             probes_sent: 0,
-            dispatch: DispatchMode::default(),
             log: ProbeLog::default(),
             scratch_packets: PacketBatch::new(),
             scratch_replies: ReplyBatch::new(),
@@ -221,17 +208,6 @@ impl<T: PacketTransport> TransportProber<T> {
     pub fn with_retries(mut self, retries: u8) -> Self {
         self.retries = retries;
         self
-    }
-
-    /// Selects the dispatch mode (default [`DispatchMode::Batched`]).
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The dispatch mode in force.
-    pub fn dispatch(&self) -> DispatchMode {
-        self.dispatch
     }
 
     /// The accumulated observation log.
@@ -269,7 +245,7 @@ impl<T: PacketTransport> TransportProber<T> {
     }
 }
 
-impl<T: BatchTransport> Prober for TransportProber<T> {
+impl<T: PacketTransport> Prober for TransportProber<T> {
     fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
         for _attempt in 0..=self.retries {
             let sequence = self.next_sequence();
@@ -319,10 +295,6 @@ impl<T: BatchTransport> Prober for TransportProber<T> {
     /// replies. Unanswered probes are retried in follow-up rounds (up to
     /// the configured retry count).
     fn probe_batch(&mut self, specs: &[ProbeSpec]) -> Vec<Option<ProbeObservation>> {
-        if self.dispatch == DispatchMode::PerProbe {
-            // Legacy path: sequential, for A/B comparison.
-            return specs.iter().map(|s| self.probe(s.flow, s.ttl)).collect();
-        }
         let mut results: Vec<Option<ProbeObservation>> = vec![None; specs.len()];
         let mut pending = std::mem::take(&mut self.scratch_pending);
         pending.clear();
@@ -439,6 +411,26 @@ mod tests {
         TransportProber::new(SimNetwork::new(topo, seed), SRC, dst)
     }
 
+    /// Forwards only the one-probe verbs, so [`Prober::probe_batch`]
+    /// falls back to the trait's sequential default: the reference the
+    /// batched path must reproduce.
+    struct Sequential<P: Prober>(P);
+
+    impl<P: Prober> Prober for Sequential<P> {
+        fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
+            self.0.probe(flow, ttl)
+        }
+        fn direct_probe(&mut self, target: Ipv4Addr) -> Option<DirectObservation> {
+            self.0.direct_probe(target)
+        }
+        fn probes_sent(&self) -> u64 {
+            self.0.probes_sent()
+        }
+        fn destination(&self) -> Ipv4Addr {
+            self.0.destination()
+        }
+    }
+
     #[test]
     fn probe_returns_observation() {
         let mut p = prober_over(canonical::simplest_diamond(), 1);
@@ -503,9 +495,9 @@ mod tests {
 
     #[test]
     fn probe_batch_matches_sequential_exactly() {
-        // The headline equivalence: batched and per-probe dispatch over
-        // identical simulators yield bit-identical observations, logs and
-        // probe counts.
+        // The headline equivalence: batched dispatch and sequential
+        // `probe` calls over identical simulators yield bit-identical
+        // observations, logs and probe counts.
         let topo = canonical::fig1_meshed();
         let specs: Vec<ProbeSpec> = (0..24u16)
             .flat_map(|f| (1..=4u8).map(move |ttl| ProbeSpec::new(FlowId(f), ttl)))
@@ -514,12 +506,12 @@ mod tests {
         let mut batched = prober_over(topo.clone(), 99);
         let batch_results = batched.probe_batch(&specs);
 
-        let mut sequential = prober_over(topo, 99).with_dispatch(DispatchMode::PerProbe);
+        let mut sequential = Sequential(prober_over(topo, 99));
         let seq_results = sequential.probe_batch(&specs);
 
         assert_eq!(batch_results, seq_results);
         assert_eq!(batched.probes_sent(), sequential.probes_sent());
-        assert_eq!(batched.log().indirect, sequential.log().indirect);
+        assert_eq!(batched.log().indirect, sequential.0.log().indirect);
     }
 
     #[test]

@@ -1077,7 +1077,7 @@ struct LiteStops {
 }
 
 /// MDA-Lite as a [`TraceSession`], including the switchover: on meshing
-/// or width asymmetry the embedded [`MdaMachine`] resumes over the
+/// or width asymmetry the embedded MDA machine resumes over the
 /// accumulated evidence.
 ///
 /// With an adopted non-empty stop set the session first runs a
@@ -1087,7 +1087,7 @@ struct LiteStops {
 /// hop-by-hop loop resumes just above the hit. The scan supplies only
 /// single-flow evidence, which MDA-Lite's diamond detection cannot rely
 /// on — so any meshing or asymmetry found later escalates, as always,
-/// to a full [`MdaMachine`] from TTL 1: the full-probing fallback that
+/// to a full MDA machine from TTL 1: the full-probing fallback that
 /// keeps stopping-rule soundness when the set cannot supply per-hop
 /// flow evidence.
 pub struct MdaLiteSession {

@@ -179,27 +179,58 @@ fn mda_lite_spurious_switch_rate_is_small() {
 }
 
 /// The batched probe engine must be a pure performance change: for every
-/// algorithm, batched and legacy per-probe dispatch over identically
-/// seeded simulators yield bit-identical observation streams, probe
-/// counts, and discovered topologies.
+/// algorithm, batched dispatch and sequential one-probe dispatch over
+/// identically seeded simulators yield bit-identical observation
+/// streams, probe counts, and discovered topologies.
 #[cfg(test)]
 mod batch_equivalence {
     use super::*;
-    use mlpt_core::prober::DispatchMode;
+    use mlpt_core::prober::{DirectObservation, ProbeObservation};
+
+    /// Forwards only the one-probe verbs, so [`Prober::probe_batch`]
+    /// falls back to the trait's sequential default: the reference the
+    /// batched path must reproduce.
+    struct Sequential<P: Prober>(P);
+
+    impl<P: Prober> Prober for Sequential<P> {
+        fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
+            self.0.probe(flow, ttl)
+        }
+        fn direct_probe(&mut self, target: Ipv4Addr) -> Option<DirectObservation> {
+            self.0.direct_probe(target)
+        }
+        fn probes_sent(&self) -> u64 {
+            self.0.probes_sent()
+        }
+        fn destination(&self) -> Ipv4Addr {
+            self.0.destination()
+        }
+    }
+
+    fn trace_with<P: Prober>(prober: &mut P, seed: u64, algo: u8) -> Trace {
+        let config = TraceConfig::new(seed);
+        match algo {
+            0 => trace_mda(prober, &config),
+            1 => trace_mda_lite(prober, &config),
+            _ => trace_single_flow(prober, &config, FlowId(7)),
+        }
+    }
 
     fn run_with(
         topo: &MultipathTopology,
         seed: u64,
-        dispatch: DispatchMode,
+        batched: bool,
         algo: u8,
-    ) -> (Trace, Vec<mlpt_core::ProbeObservation>, u64) {
+    ) -> (Trace, Vec<ProbeObservation>, u64) {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination()).with_dispatch(dispatch);
-        let config = TraceConfig::new(seed);
-        let trace = match algo {
-            0 => trace_mda(&mut prober, &config),
-            1 => trace_mda_lite(&mut prober, &config),
-            _ => trace_single_flow(&mut prober, &config, FlowId(7)),
+        let mut prober = TransportProber::new(net, SRC, topo.destination());
+        let trace = if batched {
+            trace_with(&mut prober, seed, algo)
+        } else {
+            let mut sequential = Sequential(prober);
+            let trace = trace_with(&mut sequential, seed, algo);
+            prober = sequential.0;
+            trace
         };
         let sent = prober.probes_sent();
         let (_net, log) = prober.into_parts();
@@ -215,40 +246,38 @@ mod batch_equivalence {
             seed in any::<u64>(),
             algo in 0u8..3,
         ) {
-            let (batched, batched_log, batched_sent) =
-                run_with(&topo, seed, DispatchMode::Batched, algo);
-            let (legacy, legacy_log, legacy_sent) =
-                run_with(&topo, seed, DispatchMode::PerProbe, algo);
+            let (batched, batched_log, batched_sent) = run_with(&topo, seed, true, algo);
+            let (sequential, seq_log, seq_sent) = run_with(&topo, seed, false, algo);
 
             // Same wire behaviour, packet for packet.
-            prop_assert_eq!(batched_log, legacy_log, "observation streams diverged");
-            prop_assert_eq!(batched_sent, legacy_sent, "probe counts diverged");
-            prop_assert_eq!(batched.probes_sent, legacy.probes_sent);
-            prop_assert_eq!(batched.switched, legacy.switched);
-            prop_assert_eq!(batched.reached_destination, legacy.reached_destination);
+            prop_assert_eq!(batched_log, seq_log, "observation streams diverged");
+            prop_assert_eq!(batched_sent, seq_sent, "probe counts diverged");
+            prop_assert_eq!(batched.probes_sent, sequential.probes_sent);
+            prop_assert_eq!(batched.switched, sequential.switched);
+            prop_assert_eq!(batched.reached_destination, sequential.reached_destination);
 
             // Same evidence, hop by hop.
             let max_ttl = batched
                 .discovery
                 .max_observed_ttl()
-                .max(legacy.discovery.max_observed_ttl());
+                .max(sequential.discovery.max_observed_ttl());
             for ttl in 1..=max_ttl {
                 prop_assert_eq!(
                     batched.vertices_at(ttl),
-                    legacy.vertices_at(ttl),
+                    sequential.vertices_at(ttl),
                     "vertex sets diverged at ttl {}",
                     ttl
                 );
                 prop_assert_eq!(
                     batched.discovery.edges_from(ttl),
-                    legacy.discovery.edges_from(ttl),
+                    sequential.discovery.edges_from(ttl),
                     "edges diverged at ttl {}",
                     ttl
                 );
             }
 
             // And the same final topology, bit for bit.
-            prop_assert_eq!(batched.to_topology(), legacy.to_topology());
+            prop_assert_eq!(batched.to_topology(), sequential.to_topology());
         }
     }
 }

@@ -128,11 +128,11 @@ impl<T: PacketTransport> PacketTransport for CapturingTransport<T> {
     fn now(&self) -> u64 {
         self.inner.now()
     }
-}
 
-/// Batched dispatch still captures every probe and reply: the default
-/// shim routes through the capturing `send_packet_into` above.
-impl<T: PacketTransport> mlpt_wire::BatchTransport for CapturingTransport<T> {}
+    // `send_batch` keeps the default shim, which routes through the
+    // capturing `send_packet_into` above, so batched dispatch still
+    // captures every probe and reply.
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Multi-destination routing: one transport, many simulated networks.
 //!
-//! A sweep traces many destinations at once, but PR 1's probe engine has
-//! exactly one [`BatchTransport`] under the prober. [`MultiNetwork`]
+//! A sweep traces many destinations at once, but the probe engine has
+//! exactly one [`PacketTransport`] under the prober. [`MultiNetwork`]
 //! closes that gap: it hosts one [`SimNetwork`] **lane** per destination
 //! and routes every injected probe to its lane by the packet's
 //! destination address (UDP probes by traced destination, ICMP echoes by
@@ -20,21 +20,19 @@
 //! transport half of the sweep engine's headline invariant — concurrent
 //! sweeps reproduce sequential traces exactly.
 //!
-//! The vectorized [`BatchTransport::send_batch`] path can optionally
+//! The vectorized [`PacketTransport::send_batch`] path can optionally
 //! process lanes on worker threads ([`MultiNetwork::with_workers`]):
 //! because lanes are disjoint, the merged reply batch is identical
 //! regardless of thread timing, so parallelism is invisible except in
-//! wall-clock time. The threads are a **persistent pool**
-//! ([`crate::pool`]) — long-lived workers parked between crossings —
-//! so the parallel path engages at any batch size instead of only
-//! above a spawn-amortization threshold.
+//! wall-clock time. The threads are a **persistent pool** (the
+//! crate-private `pool` module) — long-lived workers parked between
+//! crossings — so the parallel path engages at any batch size instead
+//! of only above a spawn-amortization threshold.
 
 use crate::network::{PendingBatch, SimNetwork, TrafficCounters};
 use crate::pool::WorkerPool;
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
-use mlpt_wire::transport::{
-    BatchTransport, PacketBatch, PacketTransport, ReplyBatch, SplitTransport,
-};
+use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
@@ -314,9 +312,7 @@ impl PacketTransport for MultiNetwork {
             .map(|l| l.lock().expect("lane mutex poisoned").clock())
             .sum()
     }
-}
 
-impl BatchTransport for MultiNetwork {
     /// Routes each packet to its lane and stamps each reply slot with the
     /// *lane's* clock, so a session's observations carry the same
     /// timestamps a dedicated per-destination simulator would produce.

@@ -15,7 +15,7 @@
 //!
 //! The per-packet path is allocation-free and hash-free: at construction
 //! every interface address is *interned* into a dense `u32` id
-//! ([`AddrTable`]), and the routing state the walk consults — successor
+//! (`AddrTable`), and the routing state the walk consults — successor
 //! lists, balancing weights, router ownership, hop distance — lives in
 //! flat `Vec`s indexed by `(hop, id)`. Replies are written straight into
 //! the caller's reusable buffer via
@@ -40,9 +40,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-pub use mlpt_wire::transport::{
-    BatchTransport, PacketBatch, PacketTransport, ReplyBatch, SplitTransport,
-};
+pub use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 
 /// Traffic counters maintained by the simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -816,6 +814,9 @@ impl SimNetwork {
     }
 }
 
+/// The simulator keeps the sequential-equivalent `send_batch` shim: its
+/// `send_packet_into` is already allocation-free, so the default loop is
+/// the vectorized fast path.
 impl PacketTransport for SimNetwork {
     fn now(&self) -> u64 {
         self.clock
@@ -873,18 +874,13 @@ impl PacketTransport for SimNetwork {
     }
 }
 
-/// The simulator inherits the sequential-equivalent `send_batch` shim:
-/// its `send_packet_into` is already allocation-free, so the default loop
-/// is the vectorized fast path.
-impl BatchTransport for SimNetwork {}
-
 /// Native deadline semantics: the send half routes every probe and
 /// records the reply latency the schedule imposes at its processing
 /// tick; the recv half suppresses replies that missed their deadline.
 /// Receiving costs no virtual time — deadlines live on the same
 /// packet-driven clock the replies are stamped with, so with a
 /// latency-free schedule the split exchange is byte-identical to
-/// [`BatchTransport::send_batch`].
+/// [`PacketTransport::send_batch`].
 impl SplitTransport for SimNetwork {
     fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
         debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");

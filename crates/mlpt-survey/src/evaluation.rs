@@ -11,18 +11,16 @@
 //! the **concurrent sweep engine**: scenarios are chunked, each chunk
 //! shares one [`mlpt_sim::MultiNetwork`] per variant pass (a fresh
 //! same-seeded network per run, so every run sees the same network
-//! conditions, exactly as the legacy back-to-back loop did), and the
+//! conditions, as back-to-back runs on a stable network would), and the
 //! chunk's sessions stream into one [`SweepEngine`] per pass. Because
 //! sweep traces are bit-identical to sequential ones and traces are
-//! reported under their stream index, the ratios are identical to the
-//! thread-per-scenario implementation — and independent of chunking,
-//! worker count and admission order. The legacy loop survives behind
-//! [`DispatchMode::PerProbe`] for A/B comparison.
+//! reported under their stream index, the ratios are identical to a
+//! blocking one-run-at-a-time loop (a test pins this) — and independent
+//! of chunking, worker count and admission order.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
 use crate::parallel::ordered_parallel_map;
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_core::TraceSession;
 use mlpt_sim::MultiNetwork;
 use mlpt_stats::{EmpiricalCdf, RatioSummary};
@@ -94,10 +92,6 @@ pub struct EvaluationConfig {
     pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
-    /// How probes cross the transport. [`DispatchMode::Batched`] runs
-    /// the five variants on the sweep engine; [`DispatchMode::PerProbe`]
-    /// keeps the legacy thread-per-scenario loop for A/B comparison.
-    pub dispatch: DispatchMode,
     /// Scenarios per sweep chunk (each chunk shares one network per
     /// variant pass and streams its sessions into one engine).
     pub sweep_chunk: usize,
@@ -114,7 +108,6 @@ pub struct EvaluationConfig {
 impl Default for EvaluationConfig {
     fn default() -> Self {
         Self {
-            dispatch: DispatchMode::Batched,
             scenarios: 500,
             workers: crate::parallel::default_workers(),
             trace_seed: 0xE7A1,
@@ -200,21 +193,20 @@ fn ratio(a: u64, b: u64) -> f64 {
 }
 
 /// A scenario's base seed: the *network* seed of all five of its runs
-/// ("same network conditions per run"). The single source of truth for
-/// both execution paths — the legacy/sweep bit-identity depends on them
-/// agreeing.
+/// ("same network conditions per run"). Shared with the blocking
+/// reference loop in the tests, whose bit-identity with the sweep
+/// depends on them agreeing.
 fn scenario_base_seed(trace_seed: u64, id: usize) -> u64 {
     trace_seed ^ (id as u64).wrapping_mul(0xD1B5_4A32)
 }
 
-/// The trace seed of one variant run of one scenario (shared by both
-/// execution paths so they are bit-identical).
+/// The trace seed of one variant run of one scenario.
 fn variant_seed(trace_seed: u64, id: usize, variant: usize) -> u64 {
     scenario_base_seed(trace_seed, id).wrapping_add(1 + variant as u64)
 }
 
 /// The sans-IO session of one variant run (the sweep-engine analogue of
-/// the legacy `trace_mda`/`trace_mda_lite`/`trace_single_flow` calls).
+/// the blocking `trace_mda`/`trace_mda_lite`/`trace_single_flow` calls).
 fn variant_session(scenario: &TraceScenario, seed: u64, variant: usize) -> Box<dyn TraceSession> {
     let destination = scenario.topology.destination();
     let cfg = TraceConfig::new(seed);
@@ -226,120 +218,96 @@ fn variant_session(scenario: &TraceScenario, seed: u64, variant: usize) -> Box<d
     }
 }
 
+/// First-MDA counts plus each variant's counts, or None if the
+/// scenario carried no diamond.
+type PerScenario = Option<(RunCounts, [RunCounts; 4])>;
+
 /// Runs the five variants over every diamond-bearing scenario.
 pub fn evaluate_scenarios(
     internet: &SyntheticInternet,
     config: &EvaluationConfig,
 ) -> EvaluationOutcome {
-    /// First-MDA counts plus each variant's counts, or None if the
-    /// scenario carried no diamond.
-    type PerScenario = Option<(RunCounts, [RunCounts; 4])>;
+    aggregate(sweep_rows(internet, config))
+}
 
-    let rows: Vec<PerScenario> = if config.dispatch == DispatchMode::PerProbe {
-        // Legacy comparison path: one full trace (and one simulator) per
-        // run, thread-per-scenario concurrency.
-        ordered_parallel_map(config.scenarios, config.workers, |id| {
-            let scenario = internet.scenario(id);
-            if !scenario.has_diamond {
-                return None;
+/// Runs every scenario's five variants on the sweep engine, one row per
+/// scenario in index order.
+///
+/// Worker threads scale across scenario chunks; inside a chunk the five
+/// variants run as five streamed sweeps, each over a fresh same-seeded
+/// network per scenario (same conditions per run). Traces land under
+/// their stream index, so rows are in scenario order no matter how
+/// admission interleaves or which worker claims the chunk.
+fn sweep_rows(internet: &SyntheticInternet, config: &EvaluationConfig) -> Vec<PerScenario> {
+    // Cap the chunk size so there are at least `workers` chunks
+    // (chunks are the unit of thread parallelism; chunking is pure
+    // scheduling, so this never changes the outcome).
+    let chunk_size = config
+        .sweep_chunk
+        .max(1)
+        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
+    let chunks = config.scenarios.div_ceil(chunk_size);
+    let nested: Vec<Vec<PerScenario>> = ordered_parallel_map(chunks, config.workers, |c| {
+        let ids: Vec<usize> =
+            (c * chunk_size..((c + 1) * chunk_size).min(config.scenarios)).collect();
+        let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
+        let kept: Vec<&TraceScenario> = scenarios.iter().filter(|s| s.has_diamond).collect();
+        // counts_of[variant][kept index]
+        let mut counts_of: Vec<Vec<Option<RunCounts>>> = vec![vec![None; kept.len()]; 5];
+        if !kept.is_empty() {
+            let source = kept[0].source;
+            assert!(
+                kept.iter().all(|s| s.source == source),
+                "sweep chunks assume a single vantage point"
+            );
+            for (variant, slot) in counts_of.iter_mut().enumerate() {
+                let lanes: Vec<mlpt_sim::SimNetwork> = kept
+                    .iter()
+                    .map(|s| {
+                        // Network seed: the scenario's base seed —
+                        // same conditions for all five runs of a
+                        // scenario.
+                        s.build_network(scenario_base_seed(config.trace_seed, s.id))
+                    })
+                    .collect();
+                let net = MultiNetwork::new(lanes)
+                    .expect("synthetic-Internet destinations are scenario-unique");
+                let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
+                    max_in_flight: config.sweep_in_flight.max(1),
+                    admission: Admission::Streaming,
+                    retry: config.sweep_retry,
+                    stall_rounds: config.sweep_stall_rounds,
+                    ..SweepConfig::default()
+                });
+                let sessions = kept.iter().map(|s| {
+                    variant_session(s, variant_seed(config.trace_seed, s.id, variant), variant)
+                });
+                engine.run_stream_with(sessions, |index, trace| {
+                    slot[index] = Some(counts(&trace));
+                });
             }
-            let base_seed = scenario_base_seed(config.trace_seed, id);
-            let run = |variant: usize| -> Trace {
-                // Each run sees the same network conditions (same network
-                // seed) but uses its own flow randomness, like
-                // back-to-back runs on a stable network.
-                let mut prober = scenario.build_prober(base_seed, config.dispatch);
-                let cfg = TraceConfig::new(variant_seed(config.trace_seed, id, variant));
-                match variant {
-                    0 | 1 => trace_mda(&mut prober, &cfg),
-                    2 => trace_mda_lite(&mut prober, &cfg.with_phi(2)),
-                    3 => trace_mda_lite(&mut prober, &cfg.with_phi(4)),
-                    _ => trace_single_flow(&mut prober, &cfg, FlowId(0)),
+        }
+        // Re-align the kept rows with the chunk's full id range.
+        let mut kept_iter = 0usize;
+        scenarios
+            .iter()
+            .map(|s| {
+                if !s.has_diamond {
+                    return None;
                 }
-            };
-            let first = counts(&run(0));
-            let variants = [
-                counts(&run(1)),
-                counts(&run(2)),
-                counts(&run(3)),
-                counts(&run(4)),
-            ];
-            Some((first, variants))
-        })
-    } else {
-        // Sweep path: worker threads scale across scenario chunks; inside
-        // a chunk the five variants run as five streamed sweeps, each
-        // over a fresh same-seeded network per scenario (same conditions
-        // per run, as the legacy loop). Traces land under their stream
-        // index, so rows are in scenario order no matter how admission
-        // interleaves or which worker claims the chunk.
-        // Cap the chunk size so there are at least `workers` chunks
-        // (chunks are the unit of thread parallelism; chunking is pure
-        // scheduling, so this never changes the outcome).
-        let chunk_size = config
-            .sweep_chunk
-            .max(1)
-            .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-        let chunks = config.scenarios.div_ceil(chunk_size);
-        let nested: Vec<Vec<PerScenario>> = ordered_parallel_map(chunks, config.workers, |c| {
-            let ids: Vec<usize> =
-                (c * chunk_size..((c + 1) * chunk_size).min(config.scenarios)).collect();
-            let scenarios: Vec<TraceScenario> =
-                ids.iter().map(|&id| internet.scenario(id)).collect();
-            let kept: Vec<&TraceScenario> = scenarios.iter().filter(|s| s.has_diamond).collect();
-            // counts_of[variant][kept index]
-            let mut counts_of: Vec<Vec<Option<RunCounts>>> = vec![vec![None; kept.len()]; 5];
-            if !kept.is_empty() {
-                let source = kept[0].source;
-                assert!(
-                    kept.iter().all(|s| s.source == source),
-                    "sweep chunks assume a single vantage point"
-                );
-                for (variant, slot) in counts_of.iter_mut().enumerate() {
-                    let lanes: Vec<mlpt_sim::SimNetwork> = kept
-                        .iter()
-                        .map(|s| {
-                            // Network seed: the run's base seed, as
-                            // build_prober used — same conditions for
-                            // all five runs of a scenario.
-                            s.build_network(scenario_base_seed(config.trace_seed, s.id))
-                        })
-                        .collect();
-                    let net = MultiNetwork::new(lanes)
-                        .expect("synthetic-Internet destinations are scenario-unique");
-                    let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-                        max_in_flight: config.sweep_in_flight.max(1),
-                        admission: Admission::Streaming,
-                        retry: config.sweep_retry,
-                        stall_rounds: config.sweep_stall_rounds,
-                        ..SweepConfig::default()
-                    });
-                    let sessions = kept.iter().map(|s| {
-                        variant_session(s, variant_seed(config.trace_seed, s.id, variant), variant)
-                    });
-                    engine.run_stream_with(sessions, |index, trace| {
-                        slot[index] = Some(counts(&trace));
-                    });
-                }
-            }
-            // Re-align the kept rows with the chunk's full id range.
-            let mut kept_iter = 0usize;
-            scenarios
-                .iter()
-                .map(|s| {
-                    if !s.has_diamond {
-                        return None;
-                    }
-                    let k = kept_iter;
-                    kept_iter += 1;
-                    let take = |v: usize| counts_of[v][k].expect("variant run completed");
-                    Some((take(0), [take(1), take(2), take(3), take(4)]))
-                })
-                .collect()
-        });
-        nested.into_iter().flatten().collect()
-    };
+                let k = kept_iter;
+                kept_iter += 1;
+                let take = |v: usize| counts_of[v][k].expect("variant run completed");
+                Some((take(0), [take(1), take(2), take(3), take(4)]))
+            })
+            .collect()
+    });
+    nested.into_iter().flatten().collect()
+}
 
+/// Folds the per-scenario rows (in scenario order) into the Fig. 4
+/// series and Table 1 aggregates.
+fn aggregate(rows: Vec<PerScenario>) -> EvaluationOutcome {
     let mut ratios: Vec<Vec<TraceRatios>> = vec![Vec::new(); 4];
     let mut aggregates: Vec<(RatioSummary, RatioSummary, RatioSummary)> =
         vec![Default::default(); 4];
@@ -389,13 +357,45 @@ mod tests {
         evaluate_scenarios(&internet, &config)
     }
 
+    /// The blocking reference: one full trace (and one simulator) per
+    /// run, scenario by scenario.
+    fn blocking_rows(internet: &SyntheticInternet, config: &EvaluationConfig) -> Vec<PerScenario> {
+        (0..config.scenarios)
+            .map(|id| {
+                let scenario = internet.scenario(id);
+                if !scenario.has_diamond {
+                    return None;
+                }
+                let base_seed = scenario_base_seed(config.trace_seed, id);
+                let run = |variant: usize| -> RunCounts {
+                    // Each run sees the same network conditions (same
+                    // network seed) but uses its own flow randomness,
+                    // like back-to-back runs on a stable network.
+                    let mut prober = TransportProber::new(
+                        scenario.build_network(base_seed),
+                        scenario.source,
+                        scenario.topology.destination(),
+                    );
+                    let cfg = TraceConfig::new(variant_seed(config.trace_seed, id, variant));
+                    counts(&match variant {
+                        0 | 1 => trace_mda(&mut prober, &cfg),
+                        2 => trace_mda_lite(&mut prober, &cfg.with_phi(2)),
+                        3 => trace_mda_lite(&mut prober, &cfg.with_phi(4)),
+                        _ => trace_single_flow(&mut prober, &cfg, FlowId(0)),
+                    })
+                };
+                Some((run(0), [run(1), run(2), run(3), run(4)]))
+            })
+            .collect()
+    }
+
     fn outcomes_equal(a: &EvaluationOutcome, b: &EvaluationOutcome) {
         assert_eq!(a.measured_traces, b.measured_traces);
         assert_eq!(a.ratios, b.ratios);
         assert_eq!(a.aggregates, b.aggregates);
     }
 
-    /// The sweep-engine path reproduces the legacy thread-per-scenario
+    /// The sweep-engine path reproduces a blocking one-run-at-a-time
     /// loop exactly: same per-run traces, so same ratios, bit for bit.
     #[test]
     fn sweep_and_legacy_paths_agree() {
@@ -404,20 +404,13 @@ mod tests {
             scenarios: 30,
             workers: 2,
             trace_seed: 11,
-            dispatch: DispatchMode::Batched,
             sweep_chunk: 7, // deliberately uneven chunks
             sweep_in_flight: 32,
             ..EvaluationConfig::default()
         };
         let sweep = evaluate_scenarios(&internet, &base);
-        let legacy = evaluate_scenarios(
-            &internet,
-            &EvaluationConfig {
-                dispatch: DispatchMode::PerProbe,
-                ..base
-            },
-        );
-        outcomes_equal(&sweep, &legacy);
+        let blocking = aggregate(blocking_rows(&internet, &base));
+        outcomes_equal(&sweep, &blocking);
     }
 
     /// Regression for the ordering audit: scenario/variant output order
@@ -434,7 +427,6 @@ mod tests {
                     scenarios: 24,
                     workers,
                     trace_seed: 3,
-                    dispatch: DispatchMode::Batched,
                     sweep_chunk,
                     sweep_in_flight,
                     ..EvaluationConfig::default()

@@ -21,7 +21,7 @@
 //!   Tables 2–3), streamed through the sweep engine as sessionized
 //!   multilevel traces.
 //! * [`parallel`] — a small deterministic fork-join helper used to fan
-//!   sweep chunks (and the legacy per-scenario A/B paths) over threads.
+//!   sweep chunks over threads.
 
 pub mod accounting;
 pub mod evaluation;

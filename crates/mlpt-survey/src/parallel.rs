@@ -9,9 +9,8 @@
 //! engine: the IP-level survey, the evaluation and (since the alias
 //! phase was sessionized) the router-level survey all use it only to
 //! fan *chunks* out across workers — each chunk drives one
-//! `SweepEngine` over one shared `MultiNetwork` — plus the legacy
-//! thread-per-scenario A/B paths behind `DispatchMode::PerProbe`. No
-//! probing phase depends on thread-per-scenario concurrency anymore;
+//! `SweepEngine` over one shared `MultiNetwork`. No probing phase
+//! depends on thread-per-scenario concurrency anymore;
 //! within a chunk, concurrency is the engine's streaming admission, not
 //! threads.
 //!

@@ -14,30 +14,26 @@
 //! * Table 3 — what alias resolution does to each unique diamond;
 //! * Figs. 13 & 14 — max-width distributions before/after resolution.
 //!
-//! Scenarios run through the **concurrent sweep engine** by default:
-//! each worker chunk builds one [`mlpt_sim::MultiNetwork`] whose lanes
-//! are the per-scenario simulators and streams one
-//! [`MultilevelSession`] per destination — trace, Round 0–10 alias
+//! Scenarios run through the **concurrent sweep engine**: each worker
+//! chunk builds one [`mlpt_sim::MultiNetwork`] whose lanes are the
+//! per-scenario simulators and streams one [`MultilevelSession`] per
+//! destination — trace, Round 0–10 alias
 //! rounds and (optionally) the direct comparator campaigns all
 //! interleaved across destinations under the engine's streaming
 //! admission and in-flight budget. Scenarios whose topologies share
 //! interface addresses (the 48/56/96-wide core structures are shared
 //! across routes by construction) are split into address-disjoint
 //! sub-sweeps, because echo probes route by interface address. Per-lane
-//! determinism makes every aggregate bit-identical to the legacy
-//! thread-per-scenario loop, which survives behind
-//! [`DispatchMode::PerProbe`] for A/B comparison.
+//! determinism makes every aggregate bit-identical to a blocking
+//! one-scenario-at-a-time loop, which a test pins.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
 use crate::parallel::ordered_parallel_map;
 use mlpt_alias::evidence::EvidenceBase;
-use mlpt_alias::multilevel::{
-    trace_multilevel, MultilevelConfig, MultilevelOutcome, MultilevelSession,
-};
+use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt_alias::resolver::{judge_set, SeriesSource, SetVerdict};
-use mlpt_alias::rounds::{run_rounds, ProbeMethod, RoundsConfig};
+use mlpt_alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_sim::MultiNetwork;
 use mlpt_stats::{Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
@@ -179,18 +175,12 @@ pub struct RouterSurveyConfig {
     pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
-    /// How probes cross the transport. [`DispatchMode::Batched`]
-    /// (default) streams the multilevel sessions through the sweep
-    /// engine; [`DispatchMode::PerProbe`] keeps the legacy
-    /// thread-per-scenario blocking loop for A/B comparison.
-    pub dispatch: DispatchMode,
     /// Alias-resolution protocol (rounds, replies, MBT parameters).
     pub rounds: RoundsConfig,
     /// Whether to run the direct-probing comparator for Table 2
     /// (roughly doubles alias probing cost).
     pub with_direct_comparison: bool,
-    /// Destinations sharing one simulated network per worker chunk on
-    /// the sweep path (ignored on the legacy path).
+    /// Destinations sharing one simulated network per worker chunk.
     pub sweep_batch: usize,
     /// In-flight probe budget per sweep engine (the streaming-admission
     /// headroom).
@@ -233,7 +223,6 @@ pub struct RouterSurveyConfig {
 impl Default for RouterSurveyConfig {
     fn default() -> Self {
         Self {
-            dispatch: DispatchMode::Batched,
             scenarios: 300,
             workers: crate::parallel::default_workers(),
             trace_seed: 0x5E52,
@@ -351,66 +340,6 @@ fn scenario_tail(
     }
 }
 
-/// One scenario on the legacy blocking path: thread-per-scenario prober,
-/// trace + rounds + comparator driven sequentially.
-fn legacy_scenario(
-    internet: &SyntheticInternet,
-    config: &RouterSurveyConfig,
-    id: usize,
-) -> Option<PerScenario> {
-    let num_rounds = config.rounds.rounds as usize;
-    let scenario = internet.scenario(id);
-    if !scenario.has_diamond {
-        return None;
-    }
-    let seed = trace_seed_of(config, id);
-    let mut prober = scenario.build_prober(seed, config.dispatch);
-    let ml_config = MultilevelConfig {
-        trace: TraceConfig::new(seed),
-        rounds: config.rounds.clone(),
-    };
-    let result = trace_multilevel(&mut prober, &ml_config);
-
-    // Table 2: judge the union of router sets under both methods.
-    let mut verdicts = VerdictMatrix::default();
-    if config.with_direct_comparison {
-        let trace = &result.trace;
-        for ttl in 1..=trace.discovery.max_observed_ttl() {
-            let candidates: BTreeSet<Ipv4Addr> = trace
-                .discovery
-                .vertices_at(ttl)
-                .iter()
-                .copied()
-                .filter(|&a| a != trace.destination && !mlpt_topo::is_star(a))
-                .collect();
-            if candidates.len() < 2 {
-                continue;
-            }
-            // Evidence so far (trace + indirect rounds) …
-            let mut base = EvidenceBase::from_log(prober.log(), &candidates);
-            // … plus a direct-probing campaign of the same size.
-            let direct_cfg = RoundsConfig {
-                method: ProbeMethod::Direct,
-                ..config.rounds.clone()
-            };
-            let direct_reports =
-                run_rounds(&mut prober, trace, &candidates, &mut base, &direct_cfg);
-
-            let indirect_partition = result.final_partition(ttl);
-            let direct_partition = direct_reports.last().map(|r| &r.partition);
-            record_verdicts(
-                &mut verdicts,
-                &base,
-                indirect_partition,
-                direct_partition,
-                &config.rounds.mbt,
-            );
-        }
-    }
-
-    Some(scenario_tail(&result, verdicts, num_rounds))
-}
-
 /// Records the Table 2 verdicts for one hop: the union of router sets
 /// either method identified, judged under both series sources over the
 /// campaign's final evidence.
@@ -440,7 +369,7 @@ fn streamed_scenario(outcome: MultilevelOutcome, config: &RouterSurveyConfig) ->
     let num_rounds = config.rounds.rounds as usize;
     let mut verdicts = VerdictMatrix::default();
     // The comparator campaigns ran inside the session (seeded from its
-    // log at exactly the points the legacy loop seeded them); judge the
+    // log at exactly the points a blocking loop seeds them); judge the
     // same set unions over their final evidence.
     for (ttl, comparison) in &outcome.direct {
         record_verdicts(
@@ -597,33 +526,35 @@ pub fn run_router_survey(
     internet: &SyntheticInternet,
     config: &RouterSurveyConfig,
 ) -> RouterSurveyReport {
-    let num_rounds = config.rounds.rounds as usize;
-    let rows: Vec<Option<PerScenario>> = if config.dispatch == DispatchMode::PerProbe {
-        // Legacy comparison path: one full pipeline (and one simulator)
-        // per scenario, thread-per-scenario concurrency.
-        ordered_parallel_map(config.scenarios, config.workers, |id| {
-            legacy_scenario(internet, config, id)
-        })
-    } else {
-        // Sweep path: chunks of scenarios share engines; worker threads
-        // scale across chunks. Chunking and admission are pure
-        // scheduling — rows come back under source indices, so the
-        // report is identical however the sweep is sliced.
-        let chunk_size = config
-            .sweep_batch
-            .max(1)
-            .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-        let chunks = config.scenarios.div_ceil(chunk_size);
-        let nested: Vec<Vec<Option<PerScenario>>> =
-            ordered_parallel_map(chunks, config.workers, |b| {
-                let ids: Vec<usize> =
-                    (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
-                sweep_chunk(internet, config, &ids)
-            });
-        nested.into_iter().flatten().collect()
-    };
+    aggregate(sweep_rows(internet, config), config.rounds.rounds as usize)
+}
 
-    // Aggregate.
+/// Runs every scenario on the sweep engine, one row per scenario in
+/// index order (`None` for scenarios without a diamond).
+///
+/// Chunks of scenarios share engines; worker threads scale across
+/// chunks. Chunking and admission are pure scheduling — rows come back
+/// under source indices, so the report is identical however the sweep
+/// is sliced.
+fn sweep_rows(
+    internet: &SyntheticInternet,
+    config: &RouterSurveyConfig,
+) -> Vec<Option<PerScenario>> {
+    let chunk_size = config
+        .sweep_batch
+        .max(1)
+        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
+    let chunks = config.scenarios.div_ceil(chunk_size);
+    let nested: Vec<Vec<Option<PerScenario>>> = ordered_parallel_map(chunks, config.workers, |b| {
+        let ids: Vec<usize> =
+            (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
+        sweep_chunk(internet, config, &ids)
+    });
+    nested.into_iter().flatten().collect()
+}
+
+/// Folds the per-scenario rows (in scenario order) into the report.
+fn aggregate(rows: Vec<Option<PerScenario>>, num_rounds: usize) -> RouterSurveyReport {
     let mut global_pairs: Vec<BTreeSet<(Ipv4Addr, Ipv4Addr)>> =
         vec![BTreeSet::new(); num_rounds + 1];
     let mut probes_per_round = vec![0u64; num_rounds + 1];
@@ -738,7 +669,84 @@ pub fn run_router_survey(
 mod tests {
     use super::*;
     use crate::generator::InternetConfig;
+    use mlpt_alias::multilevel::trace_multilevel;
+    use mlpt_alias::rounds::run_rounds;
     use mlpt_topo::TopologyBuilder;
+
+    /// One scenario on the blocking reference path: its own prober,
+    /// trace + rounds + comparator driven sequentially.
+    fn blocking_scenario(
+        internet: &SyntheticInternet,
+        config: &RouterSurveyConfig,
+        id: usize,
+    ) -> Option<PerScenario> {
+        let num_rounds = config.rounds.rounds as usize;
+        let scenario = internet.scenario(id);
+        if !scenario.has_diamond {
+            return None;
+        }
+        let seed = trace_seed_of(config, id);
+        let mut prober = TransportProber::new(
+            scenario.build_network(seed),
+            scenario.source,
+            scenario.topology.destination(),
+        );
+        let ml_config = MultilevelConfig {
+            trace: TraceConfig::new(seed),
+            rounds: config.rounds.clone(),
+        };
+        let result = trace_multilevel(&mut prober, &ml_config);
+
+        // Table 2: judge the union of router sets under both methods.
+        let mut verdicts = VerdictMatrix::default();
+        if config.with_direct_comparison {
+            let trace = &result.trace;
+            for ttl in 1..=trace.discovery.max_observed_ttl() {
+                let candidates: BTreeSet<Ipv4Addr> = trace
+                    .discovery
+                    .vertices_at(ttl)
+                    .iter()
+                    .copied()
+                    .filter(|&a| a != trace.destination && !mlpt_topo::is_star(a))
+                    .collect();
+                if candidates.len() < 2 {
+                    continue;
+                }
+                // Evidence so far (trace + indirect rounds) …
+                let mut base = EvidenceBase::from_log(prober.log(), &candidates);
+                // … plus a direct-probing campaign of the same size.
+                let direct_cfg = RoundsConfig {
+                    method: ProbeMethod::Direct,
+                    ..config.rounds.clone()
+                };
+                let direct_reports =
+                    run_rounds(&mut prober, trace, &candidates, &mut base, &direct_cfg);
+
+                let indirect_partition = result.final_partition(ttl);
+                let direct_partition = direct_reports.last().map(|r| &r.partition);
+                record_verdicts(
+                    &mut verdicts,
+                    &base,
+                    indirect_partition,
+                    direct_partition,
+                    &config.rounds.mbt,
+                );
+            }
+        }
+
+        Some(scenario_tail(&result, verdicts, num_rounds))
+    }
+
+    /// The blocking reference rows: [`blocking_scenario`] for every
+    /// scenario, in order.
+    fn blocking_rows(
+        internet: &SyntheticInternet,
+        config: &RouterSurveyConfig,
+    ) -> Vec<Option<PerScenario>> {
+        (0..config.scenarios)
+            .map(|id| blocking_scenario(internet, config, id))
+            .collect()
+    }
 
     #[test]
     fn classify_resolution_cases() {
@@ -808,8 +816,8 @@ mod tests {
     /// The acceptance gate: the streamed sweep path is a pure scheduling
     /// change. Every aggregate — the Fig. 5 series, the Table 2 verdict
     /// matrix, the Table 3 resolution counts, the Fig. 12 router sizes
-    /// and the Fig. 13/14 width histograms — is identical to the legacy
-    /// thread-per-scenario blocking loop, bit for bit.
+    /// and the Fig. 13/14 width histograms — is identical to a blocking
+    /// one-scenario-at-a-time loop, bit for bit.
     #[test]
     fn streamed_and_legacy_paths_agree() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(3));
@@ -828,28 +836,25 @@ mod tests {
             ..RouterSurveyConfig::default()
         };
         let streamed = run_router_survey(&internet, &base);
-        let legacy = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                dispatch: mlpt_core::prober::DispatchMode::PerProbe,
-                ..base.clone()
-            },
-        );
+        let blocking = aggregate(blocking_rows(&internet, &base), base.rounds.rounds as usize);
         assert!(streamed.traces > 3, "population too small to mean much");
-        assert_eq!(streamed.traces, legacy.traces);
-        assert_eq!(streamed.scenario_ids, legacy.scenario_ids);
-        assert_eq!(streamed.traces_with_aliases, legacy.traces_with_aliases);
-        assert_eq!(streamed.router_sizes_distinct, legacy.router_sizes_distinct);
+        assert_eq!(streamed.traces, blocking.traces);
+        assert_eq!(streamed.scenario_ids, blocking.scenario_ids);
+        assert_eq!(streamed.traces_with_aliases, blocking.traces_with_aliases);
+        assert_eq!(
+            streamed.router_sizes_distinct,
+            blocking.router_sizes_distinct
+        );
         assert_eq!(
             streamed.router_sizes_aggregated,
-            legacy.router_sizes_aggregated
+            blocking.router_sizes_aggregated
         );
-        assert_eq!(streamed.round_metrics, legacy.round_metrics);
-        assert_eq!(streamed.verdicts, legacy.verdicts);
-        assert_eq!(streamed.resolution_counts, legacy.resolution_counts);
-        assert_eq!(streamed.width_before, legacy.width_before);
-        assert_eq!(streamed.width_after, legacy.width_after);
-        assert_eq!(streamed.width_change, legacy.width_change);
+        assert_eq!(streamed.round_metrics, blocking.round_metrics);
+        assert_eq!(streamed.verdicts, blocking.verdicts);
+        assert_eq!(streamed.resolution_counts, blocking.resolution_counts);
+        assert_eq!(streamed.width_before, blocking.width_before);
+        assert_eq!(streamed.width_after, blocking.width_after);
+        assert_eq!(streamed.width_change, blocking.width_change);
         assert!(
             streamed.verdicts.total > 0,
             "the comparator must have judged some sets"

@@ -7,20 +7,21 @@
 //! this trait in-process; a raw-socket implementation would carry the same
 //! algorithms onto a real network, which is the sans-IO design goal.
 //!
-//! Two dispatch shapes exist:
+//! [`PacketTransport`] offers two dispatch shapes:
 //!
-//! * the classic one-probe verb [`PacketTransport::send_packet`], plus its
+//! * the one-probe verb [`PacketTransport::send_packet`], plus its
 //!   allocation-free variant [`PacketTransport::send_packet_into`] that
 //!   writes the reply into a caller-owned buffer;
-//! * the vectorized verb [`BatchTransport::send_batch`], which moves a
+//! * the vectorized verb [`PacketTransport::send_batch`], which moves a
 //!   whole round of probes across the boundary in one call using packed
 //!   [`PacketBatch`]/[`ReplyBatch`] buffers whose allocations amortize to
 //!   zero across rounds.
 //!
 //! `send_batch` has a default implementation over `send_packet_into`, so
-//! any single-probe transport joins the batched world with an empty
-//! `impl BatchTransport for T {}`. Transports with a real vectorized path
-//! (io_uring, sendmmsg, a simulator that pipelines parsing) override it.
+//! a single-probe transport is batch-capable as it stands. Transports
+//! with a real vectorized path (io_uring, sendmmsg, a simulator that
+//! pipelines parsing) override it. [`SplitTransport`] adds the
+//! asynchronous-shaped send/receive split with per-probe deadlines.
 
 /// A packed sequence of probe datagrams awaiting dispatch.
 ///
@@ -180,10 +181,7 @@ pub trait PacketTransport {
     /// Current transport time in ticks. Reply timestamps feed the
     /// Monotonic Bounds Test's time series.
     fn now(&self) -> u64;
-}
 
-/// Vectorized dispatch over a [`PacketTransport`].
-pub trait BatchTransport: PacketTransport {
     /// Sends every packet of `probes` in order, recording each reply (or
     /// its absence) and the post-send transport timestamp into `replies`.
     /// `replies` is cleared first.
@@ -222,7 +220,7 @@ impl ReplyBatch {
 /// **receive** are separate verbs, with a per-probe timeout deadline
 /// carried across the boundary.
 ///
-/// [`BatchTransport::send_batch`] bakes in the synchronous fiction that
+/// [`PacketTransport::send_batch`] bakes in the synchronous fiction that
 /// every probe resolves before the call returns — which leaves a caller
 /// no way to express "give up on this probe after N ticks". The split
 /// contract fixes that: [`send_probes`](Self::send_probes) dispatches a
@@ -249,8 +247,7 @@ impl ReplyBatch {
 ///   instead blocks in `recv_replies` until the last deadline expires.
 ///
 /// The simulator implements this natively (impairment schedules can
-/// delay replies past their deadlines); [`Synchronous`] adapts any
-/// [`BatchTransport`] whose replies resolve instantly.
+/// delay replies past their deadlines).
 pub trait SplitTransport: PacketTransport {
     /// Send half: dispatches every probe of `probes`, recording for each
     /// the deadline `send_tick + timeouts[i]`. `timeouts.len()` must
@@ -260,74 +257,6 @@ pub trait SplitTransport: PacketTransport {
     /// Recv half: resolves the batch most recently sent (see the trait
     /// docs for the slot semantics). `replies` is cleared first.
     fn recv_replies(&mut self, replies: &mut ReplyBatch);
-}
-
-/// Adapter implementing [`SplitTransport`] over any [`BatchTransport`].
-///
-/// A synchronous transport's replies resolve on the send tick itself, so
-/// no reply can ever miss its deadline: `send_probes` runs the whole
-/// batch through [`BatchTransport::send_batch`] into an internal buffer
-/// and `recv_replies` hands the buffer out. Timeouts are accepted (the
-/// contract requires them) but unobservable.
-#[derive(Debug, Default)]
-pub struct Synchronous<T: BatchTransport> {
-    inner: T,
-    buffered: ReplyBatch,
-}
-
-impl<T: BatchTransport> Synchronous<T> {
-    /// Wraps a synchronous batch transport.
-    pub fn new(inner: T) -> Self {
-        Self {
-            inner,
-            buffered: ReplyBatch::new(),
-        }
-    }
-
-    /// Consumes the adapter, returning the wrapped transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: BatchTransport> PacketTransport for Synchronous<T> {
-    fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        self.inner.send_packet(packet)
-    }
-    fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
-        self.inner.send_packet_into(packet, reply)
-    }
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-}
-
-impl<T: BatchTransport> BatchTransport for Synchronous<T> {
-    fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
-        self.inner.send_batch(probes, replies);
-    }
-}
-
-impl<T: BatchTransport> SplitTransport for Synchronous<T> {
-    fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
-        debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
-        self.inner.send_batch(probes, &mut self.buffered);
-    }
-
-    fn recv_replies(&mut self, replies: &mut ReplyBatch) {
-        std::mem::swap(replies, &mut self.buffered);
-        self.buffered.clear();
-    }
 }
 
 /// Blanket implementation so `&mut T` can be passed where a transport is
@@ -342,9 +271,8 @@ impl<T: PacketTransport + ?Sized> PacketTransport for &mut T {
     fn now(&self) -> u64 {
         (**self).now()
     }
-}
-
-impl<T: BatchTransport + ?Sized> BatchTransport for &mut T {
+    // Forwarded so a `&mut` to a transport with a real vectorized path
+    // keeps it instead of falling back to the default shim.
     fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
         (**self).send_batch(probes, replies)
     }
@@ -382,8 +310,6 @@ mod tests {
         }
     }
 
-    impl BatchTransport for Echo {}
-
     #[test]
     fn packet_batch_packs_and_iterates() {
         let mut batch = PacketBatch::new();
@@ -419,31 +345,36 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_adapter_matches_send_batch() {
-        let mut batch = PacketBatch::new();
-        for i in 0..6u8 {
-            batch.push(&[i; 4]);
+    fn mut_ref_forwards_send_batch_override() {
+        /// Answers nothing one probe at a time; its vectorized path
+        /// stamps every slot with a marker tick instead.
+        struct Vectorized;
+        impl PacketTransport for Vectorized {
+            fn send_packet(&mut self, _packet: &[u8]) -> Option<Vec<u8>> {
+                None
+            }
+            fn now(&self) -> u64 {
+                0
+            }
+            fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
+                replies.clear();
+                for _ in probes.iter() {
+                    replies.push_with(42, |_| false);
+                }
+            }
         }
-        let mut expected = ReplyBatch::new();
-        let mut plain = Echo { clock: 0 };
-        plain.send_batch(&batch, &mut expected);
 
-        let mut split = Synchronous::new(Echo { clock: 0 });
-        // Timeouts are unobservable on a synchronous transport: replies
-        // resolve on the send tick, so even a zero deadline is met.
-        split.send_probes(&batch, &[0; 6]);
-        let mut got = ReplyBatch::new();
-        split.recv_replies(&mut got);
-        assert_eq!(got.len(), expected.len());
-        for i in 0..expected.len() {
-            assert_eq!(got.get(i), expected.get(i), "slot {i}");
-            assert_eq!(got.timestamp(i), expected.timestamp(i), "slot {i}");
+        // Generic, so the call resolves to the `&mut T` impl.
+        fn dispatch<T: PacketTransport>(mut transport: T, batch: &PacketBatch) -> ReplyBatch {
+            let mut replies = ReplyBatch::new();
+            transport.send_batch(batch, &mut replies);
+            replies
         }
-        assert_eq!(split.now(), plain.now());
-        // A second recv yields the (empty) internal buffer, not stale data.
-        let mut again = ReplyBatch::new();
-        split.recv_replies(&mut again);
-        assert!(again.is_empty());
+
+        let mut batch = PacketBatch::new();
+        batch.push(&[1]);
+        let replies = dispatch(&mut Vectorized, &batch);
+        assert_eq!(replies.timestamp(0), 42, "the default shim would stamp 0");
     }
 
     #[test]
