@@ -16,6 +16,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Evidence accumulated by a trace in progress.
+///
+/// Index invariant: every flow whose path binds `ttl → vertex` is listed
+/// under `vertex` in the per-hop index at `ttl` ([`Discovery::record`]
+/// writes both, [`Discovery::remove_record`] and
+/// [`Discovery::invalidate_from`] clear both). The converse does not
+/// hold: re-recording a flow at the same TTL under another responder
+/// rebinds its path but leaves it listed under the old vertex too. So the
+/// queries below walk the index for candidates and re-check each one
+/// against the flow's path.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Discovery {
     /// Per hop index (ttl - 1): vertex → flows observed reaching it.
@@ -144,11 +153,11 @@ impl Discovery {
     /// place without invalidating the whole suffix.
     pub fn remove_record(&mut self, flow: FlowId, ttl: u8) -> Option<Ipv4Addr> {
         let h = usize::from(ttl.saturating_sub(1));
-        let addr = self
-            .flow_paths
-            .get_mut(&flow)
-            .and_then(|p| p.remove(&ttl))?;
-        self.flow_paths.retain(|_, path| !path.is_empty());
+        let path = self.flow_paths.get_mut(&flow)?;
+        let addr = path.remove(&ttl)?;
+        if path.is_empty() {
+            self.flow_paths.remove(&flow);
+        }
         if let Some(map) = self.hops.get_mut(h) {
             if let Some(flows) = map.get_mut(&addr) {
                 flows.remove(&flow);
@@ -189,12 +198,18 @@ impl Discovery {
 
     /// Flows observed reaching `vertex` at `ttl`.
     pub fn flows_reaching(&self, ttl: u8, vertex: Ipv4Addr) -> BTreeSet<FlowId> {
+        self.flows_at(ttl, vertex).clone()
+    }
+
+    /// Borrowed view of [`Discovery::flows_reaching`]: the per-hop index
+    /// entry itself, or an empty set.
+    pub(crate) fn flows_at(&self, ttl: u8, vertex: Ipv4Addr) -> &BTreeSet<FlowId> {
+        static NONE: BTreeSet<FlowId> = BTreeSet::new();
         let h = usize::from(ttl.saturating_sub(1));
         self.hops
             .get(h)
             .and_then(|m| m.get(&vertex))
-            .cloned()
-            .unwrap_or_default()
+            .unwrap_or(&NONE)
     }
 
     /// The vertex `flow` was observed to reach at `ttl`, if known.
@@ -244,50 +259,67 @@ impl Discovery {
     /// Node-control accounting: over flows *probed* at `ttl` whose vertex
     /// at `ttl - 1` is `parent`, returns (probes sent, distinct successors
     /// observed). This is the per-vertex state the MDA's stopping rule
-    /// applies to.
+    /// applies to. Walks only the flows indexed under `parent` at
+    /// `ttl - 1`, keeping those probed at `ttl` whose path still binds
+    /// `ttl - 1 → parent` (see the index invariant on [`Discovery`]).
     pub fn probes_via(&self, parent: Ipv4Addr, ttl: u8) -> (u64, BTreeSet<Ipv4Addr>) {
         assert!(ttl >= 2, "probes_via needs a previous hop");
         let mut sent = 0u64;
         let mut successors = BTreeSet::new();
-        if let Some(probed) = self.probed_at.get(&ttl) {
-            for &f in probed {
-                if self.flow_vertex(ttl - 1, f) == Some(parent) {
-                    sent += 1;
-                    if let Some(v) = self.flow_vertex(ttl, f) {
-                        successors.insert(v);
-                    }
+        let Some(probed) = self.probed_at.get(&ttl) else {
+            return (sent, successors);
+        };
+        for f in self.flows_at(ttl - 1, parent) {
+            if !probed.contains(f) {
+                continue;
+            }
+            let Some(path) = self.flow_paths.get(f) else {
+                continue;
+            };
+            if path.get(&(ttl - 1)) == Some(&parent) {
+                sent += 1;
+                if let Some(&v) = path.get(&ttl) {
+                    successors.insert(v);
                 }
             }
         }
         (sent, successors)
     }
 
-    /// Flows probed at `ttl` (answered or not).
-    pub fn probed_flows_at(&self, ttl: u8) -> BTreeSet<FlowId> {
-        self.probed_at.get(&ttl).cloned().unwrap_or_default()
+    /// Calls `f(from, to)` for every flow bound at both `ttl` and
+    /// `ttl + 1`, walking the flows indexed at `ttl` rather than every
+    /// path. A flow indexed under two vertices yields its pair twice.
+    fn for_each_edge(&self, ttl: u8, mut f: impl FnMut(Ipv4Addr, Ipv4Addr)) {
+        let Some(index) = self.hops.get(usize::from(ttl.saturating_sub(1))) else {
+            return;
+        };
+        for flow in index.values().flatten() {
+            if let Some(path) = self.flow_paths.get(flow) {
+                if let (Some(&from), Some(&to)) = (path.get(&ttl), path.get(&(ttl + 1))) {
+                    f(from, to);
+                }
+            }
+        }
     }
 
     /// Successor map between `ttl` and `ttl + 1` derived from flows
     /// observed at both: vertex at `ttl` → set of vertices at `ttl + 1`.
+    /// Walks the flows indexed at `ttl`.
     pub fn edges_from(&self, ttl: u8) -> BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> {
         let mut edges: BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        for path in self.flow_paths.values() {
-            if let (Some(&from), Some(&to)) = (path.get(&ttl), path.get(&(ttl + 1))) {
-                edges.entry(from).or_default().insert(to);
-            }
-        }
+        self.for_each_edge(ttl, |from, to| {
+            edges.entry(from).or_default().insert(to);
+        });
         edges
     }
 
     /// Predecessor map between `ttl` and `ttl + 1`: vertex at `ttl + 1` →
-    /// set of vertices at `ttl`.
+    /// set of vertices at `ttl`. Walks the flows indexed at `ttl`.
     pub fn reverse_edges_from(&self, ttl: u8) -> BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> {
         let mut edges: BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        for path in self.flow_paths.values() {
-            if let (Some(&from), Some(&to)) = (path.get(&ttl), path.get(&(ttl + 1))) {
-                edges.entry(to).or_default().insert(from);
-            }
-        }
+        self.for_each_edge(ttl, |from, to| {
+            edges.entry(to).or_default().insert(from);
+        });
         edges
     }
 
@@ -321,21 +353,24 @@ impl Discovery {
         let vertices = self.vertices_at(ttl);
         // Round-robin across vertices: first one flow per vertex, then
         // seconds, and so on.
-        let per_vertex: Vec<Vec<FlowId>> = vertices
+        let mut per_vertex: Vec<_> = vertices
             .iter()
-            .map(|&v| self.flows_reaching(ttl, v).into_iter().collect())
+            .map(|&v| self.flows_at(ttl, v).iter())
             .collect();
-        let max_len = per_vertex.iter().map(Vec::len).max().unwrap_or(0);
-        for round in 0..max_len {
-            for flows in &per_vertex {
-                if let Some(&f) = flows.get(round) {
+        loop {
+            let mut any = false;
+            for flows in &mut per_vertex {
+                if let Some(&f) = flows.next() {
+                    any = true;
                     if enqueued.insert(f) {
                         queue.push(f);
                     }
                 }
             }
+            if !any {
+                return queue;
+            }
         }
-        queue
     }
 }
 
@@ -398,6 +433,121 @@ impl FlowAllocator {
 mod tests {
     use super::*;
     use mlpt_topo::graph::addr;
+    use proptest::prelude::*;
+
+    /// Reference `probes_via`: scans every flow probed at `ttl`.
+    fn scan_probes_via(d: &Discovery, parent: Ipv4Addr, ttl: u8) -> (u64, BTreeSet<Ipv4Addr>) {
+        let mut sent = 0u64;
+        let mut successors = BTreeSet::new();
+        if let Some(probed) = d.probed_at.get(&ttl) {
+            for &f in probed {
+                if d.flow_vertex(ttl - 1, f) == Some(parent) {
+                    sent += 1;
+                    if let Some(v) = d.flow_vertex(ttl, f) {
+                        successors.insert(v);
+                    }
+                }
+            }
+        }
+        (sent, successors)
+    }
+
+    /// Reference `edges_from`: scans every flow path of the trace.
+    fn scan_edges_from(d: &Discovery, ttl: u8) -> BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> {
+        let mut edges: BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+        for path in d.flow_paths.values() {
+            if let (Some(&from), Some(&to)) = (path.get(&ttl), path.get(&(ttl + 1))) {
+                edges.entry(from).or_default().insert(to);
+            }
+        }
+        edges
+    }
+
+    /// Reference `reverse_edges_from`: scans every flow path of the trace.
+    fn scan_reverse_edges_from(d: &Discovery, ttl: u8) -> BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> {
+        let mut edges: BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+        for path in d.flow_paths.values() {
+            if let (Some(&from), Some(&to)) = (path.get(&ttl), path.get(&(ttl + 1))) {
+                edges.entry(to).or_default().insert(from);
+            }
+        }
+        edges
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Sent(u16, u8),
+        Record(u16, u8, u8),
+        Remove(u16, u8),
+        Invalidate(u8),
+    }
+
+    const MAX_TTL: u8 = 5;
+
+    /// Few flows, TTLs and responders, so that re-recording a
+    /// `(flow, ttl)` under another responder happens often. Weights:
+    /// 4 sends, 6 records, 1 removal, 1 invalidation in 12.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..12, 0u16..6, 1u8..=MAX_TTL, 0u8..3).prop_map(|(kind, f, t, r)| match kind {
+            0..=3 => Op::Sent(f, t),
+            4..=9 => Op::Record(f, t, r),
+            10 => Op::Remove(f, t),
+            _ => Op::Invalidate(t),
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_queries_match_full_scans(ops in proptest::collection::vec(arb_op(), 0..60)) {
+            let mut d = Discovery::new();
+            for op in ops {
+                match op {
+                    Op::Sent(f, t) => d.note_probe_sent(FlowId(f), t),
+                    Op::Record(f, t, r) => d.record(FlowId(f), t, addr(0, r.into()), false),
+                    Op::Remove(f, t) => {
+                        d.remove_record(FlowId(f), t);
+                    }
+                    Op::Invalidate(t) => {
+                        d.invalidate_from(t);
+                    }
+                }
+                // No empty path survives, and every binding is indexed.
+                for (&f, path) in &d.flow_paths {
+                    prop_assert!(!path.is_empty());
+                    for (&t, &v) in path {
+                        prop_assert!(d.flows_at(t, v).contains(&f));
+                    }
+                }
+                for ttl in 0..=MAX_TTL + 1 {
+                    prop_assert_eq!(d.edges_from(ttl), scan_edges_from(&d, ttl));
+                    prop_assert_eq!(d.reverse_edges_from(ttl), scan_reverse_edges_from(&d, ttl));
+                }
+                for ttl in 2..=MAX_TTL + 1 {
+                    for r in 0..3 {
+                        let parent = addr(0, r);
+                        prop_assert_eq!(d.probes_via(parent, ttl), scan_probes_via(&d, parent, ttl));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probes_via_skips_flows_rebound_to_another_parent() {
+        let (a, b, c) = (addr(1, 0), addr(1, 1), addr(2, 0));
+        let mut d = Discovery::new();
+        d.note_probe_sent(FlowId(1), 1);
+        d.record(FlowId(1), 1, a, false);
+        // Re-recorded under `b`: the index still lists the flow under `a`.
+        d.record(FlowId(1), 1, b, false);
+        assert!(d.flows_at(1, a).contains(&FlowId(1)));
+        d.note_probe_sent(FlowId(1), 2);
+        d.record(FlowId(1), 2, c, false);
+        assert_eq!(d.probes_via(a, 2), (0, BTreeSet::new()));
+        assert_eq!(d.probes_via(b, 2), (1, BTreeSet::from([c])));
+        assert_eq!(d.probes_via(a, 2), scan_probes_via(&d, a, 2));
+        assert_eq!(d.edges_from(1), BTreeMap::from([(b, BTreeSet::from([c]))]));
+    }
 
     #[test]
     fn record_and_query() {

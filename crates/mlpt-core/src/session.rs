@@ -801,8 +801,9 @@ impl MdaMachine {
                         let mut specs = core.specs_buffer();
                         specs.extend(
                             core.state
-                                .flows_reaching(self.ttl - 1, parent)
-                                .into_iter()
+                                .flows_at(self.ttl - 1, parent)
+                                .iter()
+                                .copied()
                                 .filter(|&f| !core.state.flow_probed_at(self.ttl, f))
                                 .take(owed)
                                 .map(|f| ProbeSpec::new(f, self.ttl)),
@@ -1268,9 +1269,8 @@ impl MdaLiteSession {
                         .vertices
                         .iter()
                         .map(|&v| {
-                            phi.saturating_sub(
-                                self.core.state.flows_reaching(mesh.from_ttl, v).len(),
-                            ) as u64
+                            phi.saturating_sub(self.core.state.flows_at(mesh.from_ttl, v).len())
+                                as u64
                         })
                         .sum();
                     if deficit == 0 {
@@ -1316,8 +1316,9 @@ impl MdaLiteSession {
                         specs.extend(
                             self.core
                                 .state
-                                .flows_reaching(mesh.from_ttl, v)
-                                .into_iter()
+                                .flows_at(mesh.from_ttl, v)
+                                .iter()
+                                .copied()
                                 .take(phi)
                                 .filter(|&f| !self.core.state.flow_probed_at(mesh.to_ttl, f))
                                 .map(|f| ProbeSpec::new(f, mesh.to_ttl)),
@@ -1601,7 +1602,7 @@ fn build_edge_work(state: &Discovery, ttl: u8, work: &mut Vec<ProbeSpec>) {
     for &u in state.vertices_at(ttl - 1) {
         if edges.get(&u).is_none_or(BTreeSet::is_empty) {
             if let Some(&f) = state
-                .flows_reaching(ttl - 1, u)
+                .flows_at(ttl - 1, u)
                 .iter()
                 .find(|&&f| !state.flow_probed_at(ttl, f))
             {
@@ -1612,7 +1613,7 @@ fn build_edge_work(state: &Discovery, ttl: u8, work: &mut Vec<ProbeSpec>) {
     for &v in state.vertices_at(ttl) {
         if rev.get(&v).is_none_or(BTreeSet::is_empty) {
             if let Some(&f) = state
-                .flows_reaching(ttl, v)
+                .flows_at(ttl, v)
                 .iter()
                 .find(|&&f| !state.flow_probed_at(ttl - 1, f))
             {
