@@ -24,7 +24,6 @@ fn bench(c: &mut Criterion) {
             workers: 4,
             trace_seed: 3,
             phi: 2,
-            ..IpSurveyConfig::default()
         };
         b.iter(|| black_box(run_ip_survey(black_box(&internet), &config)));
     });
@@ -35,7 +34,6 @@ fn bench(c: &mut Criterion) {
             scenarios: 20,
             workers: 4,
             trace_seed: 3,
-            ..EvaluationConfig::default()
         };
         b.iter(|| black_box(evaluate_scenarios(black_box(&internet), &config)));
     });

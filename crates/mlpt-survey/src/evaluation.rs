@@ -19,12 +19,17 @@
 //! of chunking, worker count and admission order.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::parallel::ordered_parallel_map;
+use crate::parallel::{sweep_chunks, sweep_engine};
 use mlpt_core::prelude::*;
 use mlpt_core::TraceSession;
-use mlpt_sim::MultiNetwork;
 use mlpt_stats::{EmpiricalCdf, RatioSummary};
 use serde::{Deserialize, Serialize};
+
+/// Scenarios per sweep chunk (each chunk shares one network per variant
+/// pass and streams its sessions into one engine).
+const SWEEP_CHUNK: usize = 64;
+/// In-flight probe budget per sweep engine.
+const SWEEP_IN_FLIGHT: usize = 256;
 
 /// Which of the five runs a ratio series belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,17 +97,6 @@ pub struct EvaluationConfig {
     pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
-    /// Scenarios per sweep chunk (each chunk shares one network per
-    /// variant pass and streams its sessions into one engine).
-    pub sweep_chunk: usize,
-    /// In-flight probe budget per sweep engine.
-    pub sweep_in_flight: usize,
-    /// Deadline policy for dispatched probes (see
-    /// [`mlpt_core::RetryPolicy`]).
-    pub sweep_retry: RetryPolicy,
-    /// Stall watchdog: all-silent rounds before a session is finalized
-    /// as partial (0 = off).
-    pub sweep_stall_rounds: u32,
 }
 
 impl Default for EvaluationConfig {
@@ -111,10 +105,6 @@ impl Default for EvaluationConfig {
             scenarios: 500,
             workers: crate::parallel::default_workers(),
             trace_seed: 0xE7A1,
-            sweep_chunk: 64,
-            sweep_in_flight: 256,
-            sweep_retry: RetryPolicy::default(),
-            sweep_stall_rounds: 0,
         }
     }
 }
@@ -239,46 +229,20 @@ pub fn evaluate_scenarios(
 /// their stream index, so rows are in scenario order no matter how
 /// admission interleaves or which worker claims the chunk.
 fn sweep_rows(internet: &SyntheticInternet, config: &EvaluationConfig) -> Vec<PerScenario> {
-    // Cap the chunk size so there are at least `workers` chunks
-    // (chunks are the unit of thread parallelism; chunking is pure
-    // scheduling, so this never changes the outcome).
-    let chunk_size = config
-        .sweep_chunk
-        .max(1)
-        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-    let chunks = config.scenarios.div_ceil(chunk_size);
-    let nested: Vec<Vec<PerScenario>> = ordered_parallel_map(chunks, config.workers, |c| {
-        let ids: Vec<usize> =
-            (c * chunk_size..((c + 1) * chunk_size).min(config.scenarios)).collect();
-        let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
+    sweep_chunks(config.scenarios, config.workers, SWEEP_CHUNK, |ids| {
+        let scenarios: Vec<TraceScenario> = ids.map(|id| internet.scenario(id)).collect();
         let kept: Vec<&TraceScenario> = scenarios.iter().filter(|s| s.has_diamond).collect();
         // counts_of[variant][kept index]
         let mut counts_of: Vec<Vec<Option<RunCounts>>> = vec![vec![None; kept.len()]; 5];
         if !kept.is_empty() {
-            let source = kept[0].source;
-            assert!(
-                kept.iter().all(|s| s.source == source),
-                "sweep chunks assume a single vantage point"
-            );
             for (variant, slot) in counts_of.iter_mut().enumerate() {
-                let lanes: Vec<mlpt_sim::SimNetwork> = kept
-                    .iter()
-                    .map(|s| {
-                        // Network seed: the scenario's base seed —
-                        // same conditions for all five runs of a
-                        // scenario.
-                        s.build_network(scenario_base_seed(config.trace_seed, s.id))
-                    })
-                    .collect();
-                let net = MultiNetwork::new(lanes)
-                    .expect("synthetic-Internet destinations are scenario-unique");
-                let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-                    max_in_flight: config.sweep_in_flight.max(1),
-                    admission: Admission::Streaming,
-                    retry: config.sweep_retry,
-                    stall_rounds: config.sweep_stall_rounds,
-                    ..SweepConfig::default()
-                });
+                // Network seed: the scenario's base seed — same
+                // conditions for all five runs of a scenario.
+                let mut engine = sweep_engine(
+                    kept.iter()
+                        .map(|&s| (s, scenario_base_seed(config.trace_seed, s.id))),
+                    SWEEP_IN_FLIGHT,
+                );
                 let sessions = kept.iter().map(|s| {
                     variant_session(s, variant_seed(config.trace_seed, s.id, variant), variant)
                 });
@@ -301,8 +265,7 @@ fn sweep_rows(internet: &SyntheticInternet, config: &EvaluationConfig) -> Vec<Pe
                 Some((take(0), [take(1), take(2), take(3), take(4)]))
             })
             .collect()
-    });
-    nested.into_iter().flatten().collect()
+    })
 }
 
 /// Folds the per-scenario rows (in scenario order) into the Fig. 4
@@ -352,7 +315,6 @@ mod tests {
             scenarios: 60,
             workers: 4,
             trace_seed: 5,
-            ..EvaluationConfig::default()
         };
         evaluate_scenarios(&internet, &config)
     }
@@ -402,11 +364,8 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(21));
         let base = EvaluationConfig {
             scenarios: 30,
-            workers: 2,
+            workers: 4, // deliberately uneven chunks: 8, 8, 8 and 6
             trace_seed: 11,
-            sweep_chunk: 7, // deliberately uneven chunks
-            sweep_in_flight: 32,
-            ..EvaluationConfig::default()
         };
         let sweep = evaluate_scenarios(&internet, &base);
         let blocking = aggregate(blocking_rows(&internet, &base));
@@ -415,26 +374,23 @@ mod tests {
 
     /// Regression for the ordering audit: scenario/variant output order
     /// is pinned by stream indices, so the outcome is identical however
-    /// admission interleaves — across worker counts, chunk sizes and
-    /// in-flight budgets.
+    /// admission interleaves — across worker counts and the chunk sizes
+    /// they imply.
     #[test]
     fn outcome_independent_of_admission_order() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(23));
-        let run = |workers: usize, sweep_chunk: usize, sweep_in_flight: usize| {
+        let run = |workers: usize| {
             evaluate_scenarios(
                 &internet,
                 &EvaluationConfig {
                     scenarios: 24,
                     workers,
                     trace_seed: 3,
-                    sweep_chunk,
-                    sweep_in_flight,
-                    ..EvaluationConfig::default()
                 },
             )
         };
-        let a = run(1, 24, 8); // one chunk, tight budget: heavy streaming
-        let b = run(4, 5, 512); // many chunks, everything admitted at once
+        let a = run(1); // one chunk of 24
+        let b = run(5); // chunks of 5, 5, 5, 5 and 4
         outcomes_equal(&a, &b);
     }
 

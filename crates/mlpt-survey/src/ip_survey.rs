@@ -6,9 +6,9 @@
 //! plus the Fig. 2 meshing-detection-failure analysis.
 //!
 //! Scenarios are traced by the **concurrent sweep engine**: destinations
-//! are grouped into chunks of [`IpSurveyConfig::sweep_batch`], each
-//! chunk shares one [`mlpt_sim::MultiNetwork`] whose lanes are the
-//! per-scenario simulators, and one [`mlpt_core::SweepEngine`] *streams*
+//! are grouped into chunks of up to 128, each chunk shares one
+//! [`mlpt_sim::MultiNetwork`] whose lanes are the per-scenario
+//! simulators, and one [`mlpt_core::SweepEngine`] *streams*
 //! the chunk's [`MdaSession`]s over it: sessions are admitted as
 //! in-flight tokens free up rather than entering a fixed table up front,
 //! so cross-destination batches stay full until the chunk's destination
@@ -22,13 +22,18 @@
 
 use crate::accounting::SurveyAccumulator;
 use crate::generator::SyntheticInternet;
-use crate::parallel::ordered_parallel_map;
+use crate::parallel::{sweep_chunks, sweep_engine};
 use mlpt_core::prelude::*;
 use mlpt_core::{MdaSession, TraceSession};
-use mlpt_sim::MultiNetwork;
 use mlpt_stats::{EmpiricalCdf, Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds, meshing_miss_probability};
 use serde::{Deserialize, Serialize};
+
+/// Destinations sharing one simulated network per sweep chunk.
+const SWEEP_CHUNK: usize = 128;
+/// In-flight probe budget per sweep engine (the streaming-admission
+/// headroom).
+const SWEEP_IN_FLIGHT: usize = 256;
 
 /// Configuration of an IP-level survey run.
 #[derive(Debug, Clone)]
@@ -41,30 +46,6 @@ pub struct IpSurveyConfig {
     pub trace_seed: u64,
     /// φ used when computing Fig. 2's meshing-miss probabilities.
     pub phi: u32,
-    /// Destinations sharing one simulated network per worker chunk; the
-    /// chunk's sessions *stream* into the sweep engine under the
-    /// in-flight budget.
-    pub sweep_batch: usize,
-    /// In-flight probe budget per sweep engine (the streaming-admission
-    /// headroom).
-    pub sweep_in_flight: usize,
-    /// Deadline policy for dispatched probes (see
-    /// [`mlpt_core::RetryPolicy`]).
-    pub sweep_retry: RetryPolicy,
-    /// Stall watchdog: all-silent rounds before a session is finalized
-    /// as partial (0 = off).
-    pub sweep_stall_rounds: u32,
-    /// Shared Doubletree stop set per sweep chunk (`None` = off). The
-    /// synthetic Internet draws scenario topologies from disjoint
-    /// address blocks, so cross-destination hits are rare; the knob is
-    /// here for generators that share near-source infrastructure.
-    pub sweep_stop_set: Option<StopSetConfig>,
-    /// Engine shards per sweep chunk (`1` = the single engine). With
-    /// more, each chunk's lanes and sessions are partitioned by
-    /// [`mlpt_core::shard_of`] across a
-    /// [`mlpt_core::ShardedSweepEngine`] — scheduling only, the report
-    /// is bit-identical for any shard count.
-    pub sweep_shards: usize,
 }
 
 impl Default for IpSurveyConfig {
@@ -74,12 +55,6 @@ impl Default for IpSurveyConfig {
             workers: crate::parallel::default_workers(),
             trace_seed: 0xA11A,
             phi: 2,
-            sweep_batch: 128,
-            sweep_in_flight: 256,
-            sweep_retry: RetryPolicy::default(),
-            sweep_stall_rounds: 0,
-            sweep_stop_set: None,
-            sweep_shards: 1,
         }
     }
 }
@@ -258,44 +233,14 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
 /// bit-identical to a blocking per-scenario loop, and admission-order
 /// independence makes the output independent of scheduling.
 fn sweep_rows(internet: &SyntheticInternet, config: &IpSurveyConfig) -> Vec<PerTrace> {
-    // Cap the chunk size so there are at least `workers` chunks:
-    // chunks are the unit of thread parallelism, and chunking is
-    // pure scheduling (the report is identical however the sweep is
-    // sliced — see the regression test), so shrinking chunks to
-    // keep every worker busy is always safe.
-    let chunk_size = config
-        .sweep_batch
-        .max(1)
-        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-    let chunks = config.scenarios.div_ceil(chunk_size);
-    let nested: Vec<Vec<PerTrace>> = ordered_parallel_map(chunks, config.workers, |b| {
-        let ids: Vec<usize> =
-            (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
+    sweep_chunks(config.scenarios, config.workers, SWEEP_CHUNK, |ids| {
         // One generator pass per scenario: the lane, destination and
         // source all come from the same materialisation.
-        let scenarios: Vec<_> = ids.iter().map(|&id| internet.scenario(id)).collect();
-        let lanes: Vec<mlpt_sim::SimNetwork> = scenarios
-            .iter()
-            .map(|s| s.build_network(trace_seed_of(config, s.id)))
-            .collect();
-        let net =
-            MultiNetwork::new(lanes).expect("synthetic-Internet destinations are scenario-unique");
-        // The engine probes every lane from one vantage point; the
-        // generator pins a single source today, so assert that holds
-        // rather than silently mis-sourcing a chunk if it changes.
-        let source = scenarios[0].source;
-        assert!(
-            scenarios.iter().all(|s| s.source == source),
-            "sweep chunks assume a single vantage point"
+        let scenarios: Vec<_> = ids.map(|id| internet.scenario(id)).collect();
+        let mut engine = sweep_engine(
+            scenarios.iter().map(|s| (s, trace_seed_of(config, s.id))),
+            SWEEP_IN_FLIGHT,
         );
-        let sweep_config = SweepConfig {
-            max_in_flight: config.sweep_in_flight.max(1),
-            admission: Admission::Streaming,
-            retry: config.sweep_retry,
-            stall_rounds: config.sweep_stall_rounds,
-            stop_set: config.sweep_stop_set,
-            ..SweepConfig::default()
-        };
         let sessions = scenarios.iter().map(|scenario| {
             Box::new(MdaSession::new(
                 scenario.topology.destination(),
@@ -305,27 +250,13 @@ fn sweep_rows(internet: &SyntheticInternet, config: &IpSurveyConfig) -> Vec<PerT
         // Analyse each trace as it completes; indices pin results to
         // stream order, independent of completion order.
         let mut per: Vec<Option<PerTrace>> = (0..scenarios.len()).map(|_| None).collect();
-        let shards = config.sweep_shards.max(1);
-        if shards > 1 {
-            // Sharded engine: the chunk's lanes split by the same
-            // destination hash that partitions its sessions.
-            let mut engine =
-                ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                    .with_config(sweep_config);
-            engine.run_stream_with(sessions, |index, trace| {
-                per[index] = Some(analyse(&trace, config.phi));
-            });
-        } else {
-            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-            engine.run_stream_with(sessions, |index, trace| {
-                per[index] = Some(analyse(&trace, config.phi));
-            });
-        }
+        engine.run_stream_with(sessions, |index, trace| {
+            per[index] = Some(analyse(&trace, config.phi));
+        });
         per.into_iter()
             .map(|p| p.expect("every streamed session reports a trace"))
             .collect()
-    });
-    nested.into_iter().flatten().collect()
+    })
 }
 
 /// Folds the per-scenario rows (in scenario order) into the report.
@@ -338,33 +269,19 @@ fn aggregate(per_trace: Vec<PerTrace>) -> IpSurveyReport {
         meshing_miss_measured: Vec::new(),
         meshing_miss_distinct: Vec::new(),
     };
-    let mut distinct_seen: std::collections::BTreeSet<mlpt_topo::DiamondKey> =
-        std::collections::BTreeSet::new();
     for (id, t) in per_trace.into_iter().enumerate() {
         report.exploitable += usize::from(t.exploitable);
         report.load_balanced += usize::from(t.load_balanced);
         for m in t.diamonds {
-            let fresh = distinct_seen.insert(m.key);
             report.diamonds.record(id, m);
-            // The distinct meshing-miss population takes each diamond's
-            // pairs once.
-            if fresh {
-                // Recorded below via per-pair values of this trace only.
-            }
         }
         report.meshing_miss_measured.extend(t.meshing_miss.iter());
-        if !t.meshing_miss.is_empty() {
-            // Distinct view: approximate by taking pairs from first
-            // encounters only; a pair's value is identical across repeat
-            // encounters of the same structure, so dedup at diamond level
-            // suffices for the population shape.
-            report.meshing_miss_distinct.extend(t.meshing_miss);
-        }
+        report.meshing_miss_distinct.extend(t.meshing_miss);
     }
-    // Dedup the distinct meshing population.
-    report
-        .meshing_miss_distinct
-        .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    // Distinct view: a pair's value is identical across repeat
+    // encounters of the same structure, so deduplicating the values
+    // approximates the population shape.
+    report.meshing_miss_distinct.sort_by(f64::total_cmp);
     report.meshing_miss_distinct.dedup();
     report
 }
@@ -398,9 +315,6 @@ mod tests {
             workers: 4,
             trace_seed: 77,
             phi: 2,
-            sweep_batch: 16,
-            sweep_in_flight: 64,
-            ..IpSurveyConfig::default()
         };
         run_ip_survey(&internet, &config)
     }
@@ -412,12 +326,9 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(11));
         let base = IpSurveyConfig {
             scenarios: 40,
-            workers: 2,
+            workers: 6, // deliberately uneven chunks: five of 7, one of 5
             trace_seed: 5,
             phi: 2,
-            sweep_batch: 7,      // deliberately uneven chunks
-            sweep_in_flight: 24, // small enough that admission actually streams
-            ..IpSurveyConfig::default()
         };
         let sweep = run_ip_survey(&internet, &base);
         let blocking = aggregate(blocking_rows(&internet, &base));
@@ -430,13 +341,12 @@ mod tests {
         assert_eq!(sweep.meshing_miss_measured, blocking.meshing_miss_measured);
     }
 
-    /// Chunking, worker counts and the streaming-admission budget are
-    /// pure scheduling: the report is identical however the sweep is
-    /// sliced.
+    /// Chunking (which follows the worker count) is pure scheduling:
+    /// the report is identical however the sweep is sliced.
     #[test]
     fn report_independent_of_chunking_and_budget() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(13));
-        let run = |sweep_batch: usize, sweep_in_flight: usize, workers: usize| {
+        let run = |workers: usize| {
             run_ip_survey(
                 &internet,
                 &IpSurveyConfig {
@@ -444,14 +354,11 @@ mod tests {
                     workers,
                     trace_seed: 9,
                     phi: 2,
-                    sweep_batch,
-                    sweep_in_flight,
-                    ..IpSurveyConfig::default()
                 },
             )
         };
-        let a = run(30, 8, 1); // one chunk, tight budget: heavy streaming
-        let b = run(5, 512, 4); // many chunks, budget admits whole chunks
+        let a = run(1); // one chunk of 30
+        let b = run(4); // chunks of 8, 8, 8 and 6
         assert_eq!(a.exploitable, b.exploitable);
         assert_eq!(a.load_balanced, b.load_balanced);
         assert_eq!(a.diamonds.measured_count(), b.diamonds.measured_count());
@@ -459,41 +366,32 @@ mod tests {
         assert_eq!(a.meshing_miss_distinct, b.meshing_miss_distinct);
     }
 
-    /// Engine sharding is pure scheduling too: the report is identical
-    /// for any shard count, with and without the shared stop set.
+    /// `workers: 0` runs as one worker instead of panicking.
     #[test]
-    fn report_independent_of_shard_count() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(21));
-        let run = |sweep_shards: usize, stop: bool| {
+    fn zero_workers_run_as_one() {
+        let internet = SyntheticInternet::new(InternetConfig::with_seed(17));
+        let run = |workers: usize| {
             run_ip_survey(
                 &internet,
                 &IpSurveyConfig {
-                    scenarios: 24,
-                    workers: 2,
-                    trace_seed: 3,
+                    scenarios: 12,
+                    workers,
+                    trace_seed: 4,
                     phi: 2,
-                    sweep_batch: 12,
-                    sweep_in_flight: 32,
-                    sweep_stop_set: stop.then(StopSetConfig::default),
-                    sweep_shards,
-                    ..IpSurveyConfig::default()
                 },
             )
         };
-        for stop in [false, true] {
-            let one = run(1, stop);
-            for shards in [2usize, 3] {
-                let many = run(shards, stop);
-                assert_eq!(one.exploitable, many.exploitable, "stop={stop}");
-                assert_eq!(one.load_balanced, many.load_balanced);
-                assert_eq!(
-                    one.diamonds.measured_count(),
-                    many.diamonds.measured_count()
-                );
-                assert_eq!(one.meshing_miss_measured, many.meshing_miss_measured);
-                assert_eq!(one.meshing_miss_distinct, many.meshing_miss_distinct);
-            }
-        }
+        let zero = run(0);
+        let one = run(1);
+        assert_eq!(zero.traces, 12);
+        assert_eq!(zero.exploitable, one.exploitable);
+        assert_eq!(zero.load_balanced, one.load_balanced);
+        assert_eq!(
+            zero.diamonds.measured_count(),
+            one.diamonds.measured_count()
+        );
+        assert_eq!(zero.meshing_miss_measured, one.meshing_miss_measured);
+        assert_eq!(zero.meshing_miss_distinct, one.meshing_miss_distinct);
     }
 
     #[test]

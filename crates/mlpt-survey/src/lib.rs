@@ -20,8 +20,10 @@
 //! * [`router_survey`] — the router-level survey (Figs. 5, 12–14,
 //!   Tables 2–3), streamed through the sweep engine as sessionized
 //!   multilevel traces.
-//! * [`parallel`] — a small deterministic fork-join helper used to fan
-//!   sweep chunks over threads.
+//! * [`parallel`] — a small deterministic fork-join helper and the one
+//!   sweep driver all three surveys run on: it fans chunks of scenarios
+//!   over threads, each chunk streaming into one sweep engine with the
+//!   survey's fixed in-flight budget.
 
 pub mod accounting;
 pub mod evaluation;

@@ -1,17 +1,16 @@
-//! Deterministic fork-join over scenario indices.
+//! Deterministic fork-join over scenario indices, and the one sweep
+//! driver every survey runs on.
 //!
 //! Survey runs process thousands of independent scenarios; this helper
 //! fans indices out over a fixed number of worker threads and returns
 //! results *in index order*, so parallel runs are bit-identical to
 //! sequential ones.
 //!
-//! Its role has narrowed as the surveys moved onto the concurrent sweep
-//! engine: the IP-level survey, the evaluation and (since the alias
-//! phase was sessionized) the router-level survey all use it only to
-//! fan *chunks* out across workers — each chunk drives one
-//! `SweepEngine` over one shared `MultiNetwork`. No probing phase
-//! depends on thread-per-scenario concurrency anymore;
-//! within a chunk, concurrency is the engine's streaming admission, not
+//! The IP-level survey, the evaluation and the router-level survey all
+//! use it only to fan *chunks* out across workers (`sweep_chunks`):
+//! each chunk drives one `SweepEngine` (`sweep_engine`) over one shared
+//! `MultiNetwork` whose lanes are the chunk's per-scenario simulators.
+//! Within a chunk, concurrency is the engine's streaming admission, not
 //! threads.
 //!
 //! The implementation is safe Rust on `std::thread::scope`: the result
@@ -27,7 +26,11 @@
 //! Chunks are deliberately finer-grained than the worker count so
 //! stragglers (expensive scenarios cluster) still load-balance.
 
+use crate::generator::TraceScenario;
+use mlpt_core::{SweepConfig, SweepEngine};
+use mlpt_sim::MultiNetwork;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// One claimable unit of work: the chunk's base index plus its slots.
@@ -95,6 +98,66 @@ where
         .collect()
 }
 
+/// Runs a survey's sweep: splits `0..scenarios` into chunks of
+/// `min(chunk_cap, ceil(scenarios / workers))` scenario ids, hands each
+/// chunk's id range to `chunk` on `workers` threads (`0` runs as one),
+/// and returns the rows flattened in scenario order.
+///
+/// The `ceil(scenarios / workers)` cap spreads a small sweep over the
+/// workers instead of leaving it in one chunk. Chunking is pure scheduling: every
+/// survey's report is identical however the sweep is sliced.
+pub(crate) fn sweep_chunks<R, F>(
+    scenarios: usize,
+    workers: usize,
+    chunk_cap: usize,
+    chunk: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> Vec<R> + Sync,
+{
+    let workers = workers.max(1);
+    let size = chunk_cap.min(scenarios.div_ceil(workers)).max(1);
+    let chunks = scenarios.div_ceil(size);
+    ordered_parallel_map(chunks, workers, |c| {
+        chunk(c * size..((c + 1) * size).min(scenarios))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// One streaming sweep engine over one lane per `(scenario, seed)`
+/// pair, each lane that scenario's simulator built from `seed`, under a
+/// fixed in-flight probe budget (default retry policy, no stall
+/// watchdog, no stop set).
+///
+/// The engine probes every lane from one vantage point; the generator
+/// pins a single source today, so this asserts that holds rather than
+/// silently mis-sourcing a chunk if it changes.
+pub(crate) fn sweep_engine<'a>(
+    lanes: impl IntoIterator<Item = (&'a TraceScenario, u64)>,
+    max_in_flight: usize,
+) -> SweepEngine<MultiNetwork> {
+    let mut source = None;
+    let lanes = lanes
+        .into_iter()
+        .map(|(scenario, seed)| {
+            let first = *source.get_or_insert(scenario.source);
+            assert_eq!(
+                first, scenario.source,
+                "sweep chunks assume a single vantage point"
+            );
+            scenario.build_network(seed)
+        })
+        .collect();
+    let net = MultiNetwork::new(lanes).expect("sweep lanes have unique destinations");
+    SweepEngine::new(net, source.expect("a sweep has at least one lane")).with_config(SweepConfig {
+        max_in_flight,
+        ..SweepConfig::default()
+    })
+}
+
 /// A sensible worker count for survey workloads.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
@@ -151,6 +214,22 @@ mod tests {
             let out = ordered_parallel_map(count, 5, |i| i + 10);
             assert_eq!(out, (0..count).map(|i| i + 10).collect::<Vec<_>>());
         }
+    }
+
+    /// Chunks are `min(cap, ceil(scenarios / workers))` ids, cover
+    /// `0..scenarios` in order, and zero workers run as one.
+    #[test]
+    fn sweep_chunks_cover_ids_in_order() {
+        let ranges = |scenarios: usize, workers: usize, cap: usize| {
+            sweep_chunks(scenarios, workers, cap, |ids| vec![ids])
+        };
+        assert_eq!(
+            ranges(40, 6, 128),
+            vec![0..7, 7..14, 14..21, 21..28, 28..35, 35..40]
+        );
+        assert_eq!(ranges(10, 1, 4), vec![0..4, 4..8, 8..10]);
+        assert_eq!(ranges(10, 0, 4), ranges(10, 1, 4));
+        assert!(ranges(0, 3, 4).is_empty());
     }
 
     /// Regression: a single worker draining the chunked worklist must

@@ -28,19 +28,25 @@
 //! one-scenario-at-a-time loop, which a test pins.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::parallel::ordered_parallel_map;
+use crate::parallel::{sweep_chunks, sweep_engine};
 use mlpt_alias::evidence::EvidenceBase;
 use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt_alias::resolver::{judge_set, SeriesSource, SetVerdict};
 use mlpt_alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt_core::prelude::*;
-use mlpt_sim::MultiNetwork;
 use mlpt_stats::{Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
 use mlpt_topo::{DiamondKey, MultipathTopology, RouterMap};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::net::Ipv4Addr;
+use std::ops::Range;
+
+/// Destinations sharing one simulated network per sweep chunk.
+const SWEEP_CHUNK: usize = 32;
+/// In-flight probe budget per sweep engine (the streaming-admission
+/// headroom).
+const SWEEP_IN_FLIGHT: usize = 512;
 
 /// What happened to an IP-level diamond at the router level (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -180,44 +186,6 @@ pub struct RouterSurveyConfig {
     /// Whether to run the direct-probing comparator for Table 2
     /// (roughly doubles alias probing cost).
     pub with_direct_comparison: bool,
-    /// Destinations sharing one simulated network per worker chunk.
-    pub sweep_batch: usize,
-    /// In-flight probe budget per sweep engine (the streaming-admission
-    /// headroom).
-    pub sweep_in_flight: usize,
-    /// How the sweep engines admit sessions. [`Admission::CostAware`]
-    /// starts likely-expensive alias destinations first — each session
-    /// carries a cost hint computed from its scenario's hop widths under
-    /// the configured rounds — so the heavy Round 0–10 campaigns
-    /// amortize across the sweep instead of serializing at the tail.
-    /// Pure scheduling: every aggregate is bit-identical across modes
-    /// (regression-tested).
-    pub admission: Admission,
-    /// Run each destination's per-hop alias stages as one fanned wave
-    /// phase instead of hop after hop (see
-    /// [`MultilevelSession::with_hop_fanout`]). A deterministic protocol
-    /// variant, not a scheduling knob: fanned surveys differ from
-    /// hop-sequential ones (per-hop evidence seeds from the wave start),
-    /// but are themselves bit-identical across admission modes and
-    /// budgets.
-    pub hop_fanout: bool,
-    /// Deadline policy for dispatched probes (see
-    /// [`mlpt_core::RetryPolicy`]).
-    pub sweep_retry: RetryPolicy,
-    /// Stall watchdog: all-silent rounds before a session is finalized
-    /// as partial (0 = off).
-    pub sweep_stall_rounds: u32,
-    /// Shared Doubletree stop set for each sub-sweep's trace phases
-    /// (`None` = off). Sub-sweeps are address-disjoint by construction,
-    /// so this mainly exercises the mid-path start + backward probing
-    /// order; it never changes discovered topology (rule 5).
-    pub sweep_stop_set: Option<StopSetConfig>,
-    /// Engine shards per sub-sweep (`1` = the single engine). With
-    /// more, each sub-sweep's lanes and sessions are partitioned by
-    /// [`mlpt_core::shard_of`] across a
-    /// [`mlpt_core::ShardedSweepEngine`] — scheduling only, the report
-    /// is bit-identical for any shard count.
-    pub sweep_shards: usize,
 }
 
 impl Default for RouterSurveyConfig {
@@ -228,14 +196,6 @@ impl Default for RouterSurveyConfig {
             trace_seed: 0x5E52,
             rounds: RoundsConfig::default(),
             with_direct_comparison: true,
-            sweep_batch: 32,
-            sweep_in_flight: 512,
-            admission: Admission::Streaming,
-            hop_fanout: false,
-            sweep_retry: RetryPolicy::default(),
-            sweep_stall_rounds: 0,
-            sweep_stop_set: None,
-            sweep_shards: 1,
         }
     }
 }
@@ -387,7 +347,7 @@ fn trace_seed_of(config: &RouterSurveyConfig, id: usize) -> u64 {
     config.trace_seed ^ (id as u64).wrapping_mul(0xC0FF_EE11)
 }
 
-/// Admission cost hint for one scenario, before its trace has run: the
+/// Cost hint for one scenario's admission, before its trace has run: the
 /// survey knows the ground-truth topology, so the alias campaigns'
 /// probe cost follows from the hop widths exactly as
 /// [`RoundsConfig::predicted_probes`] models them (the comparator, when
@@ -412,10 +372,11 @@ pub fn scenario_cost_hint(
 }
 
 /// Partitions scenarios into groups whose topologies share no interface
-/// addresses, greedily in input order. Lanes of one [`MultiNetwork`]
-/// must own disjoint address sets — UDP probes route by (unique)
-/// destination, but echo probes route by interface, and the synthetic
-/// Internet deliberately shares its wide core structures across routes.
+/// addresses, greedily in input order. Lanes of one
+/// [`mlpt_sim::MultiNetwork`] must own disjoint address sets — UDP
+/// probes route by (unique) destination, but echo probes route by
+/// interface, and the synthetic Internet deliberately shares its wide
+/// core structures across routes.
 /// Returns indices into `scenarios`.
 pub fn disjoint_scenario_groups(scenarios: &[&TraceScenario]) -> Vec<Vec<usize>> {
     let mut groups: Vec<(Vec<usize>, HashSet<u32>)> = Vec::new();
@@ -446,9 +407,9 @@ pub fn disjoint_scenario_groups(scenarios: &[&TraceScenario]) -> Vec<Vec<usize>>
 fn sweep_chunk(
     internet: &SyntheticInternet,
     config: &RouterSurveyConfig,
-    ids: &[usize],
+    ids: Range<usize>,
 ) -> Vec<Option<PerScenario>> {
-    let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
+    let scenarios: Vec<TraceScenario> = ids.map(|id| internet.scenario(id)).collect();
     let mut rows: Vec<Option<PerScenario>> = Vec::new();
     rows.resize_with(scenarios.len(), || None);
 
@@ -460,26 +421,14 @@ fn sweep_chunk(
     for group in disjoint_scenario_groups(&active_refs) {
         // Indices into `scenarios` of this address-disjoint sub-sweep.
         let members: Vec<usize> = group.into_iter().map(|g| active[g]).collect();
-        let lanes: Vec<mlpt_sim::SimNetwork> = members
-            .iter()
-            .map(|&i| scenarios[i].build_network(trace_seed_of(config, ids[i])))
-            .collect();
-        let net = MultiNetwork::new(lanes).expect("disjoint groups have unique destinations");
-        let source = scenarios[members[0]].source;
-        assert!(
-            members.iter().all(|&i| scenarios[i].source == source),
-            "sweep chunks assume a single vantage point"
+        let mut engine = sweep_engine(
+            members
+                .iter()
+                .map(|&i| (&scenarios[i], trace_seed_of(config, scenarios[i].id))),
+            SWEEP_IN_FLIGHT,
         );
-        let sweep_config = SweepConfig {
-            max_in_flight: config.sweep_in_flight.max(1),
-            admission: config.admission,
-            retry: config.sweep_retry,
-            stall_rounds: config.sweep_stall_rounds,
-            stop_set: config.sweep_stop_set,
-            ..SweepConfig::default()
-        };
         let sessions = members.iter().map(|&i| {
-            let seed = trace_seed_of(config, ids[i]);
+            let seed = trace_seed_of(config, scenarios[i].id);
             let mut session = MultilevelSession::new(
                 scenarios[i].topology.destination(),
                 MultilevelConfig {
@@ -487,7 +436,9 @@ fn sweep_chunk(
                     rounds: config.rounds.clone(),
                 },
             )
-            .with_hop_fanout(config.hop_fanout)
+            // The engine's gather pass caps each lane by its predicted
+            // cost, so the hint shapes batches even under streaming
+            // admission.
             .with_cost_hint(scenario_cost_hint(
                 &scenarios[i],
                 &config.rounds,
@@ -501,22 +452,9 @@ fn sweep_chunk(
             }
             session
         });
-        let shards = config.sweep_shards.max(1);
-        if shards > 1 {
-            // Sharded engine: the sub-sweep's lanes split by the same
-            // destination hash that partitions its sessions.
-            let mut engine =
-                ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                    .with_config(sweep_config);
-            engine.run_sessions_with(sessions, |index, session, _wire_probes| {
-                rows[members[index]] = Some(streamed_scenario(session.finish(), config));
-            });
-        } else {
-            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-            engine.run_sessions_with(sessions, |index, session, _wire_probes| {
-                rows[members[index]] = Some(streamed_scenario(session.finish(), config));
-            });
-        }
+        engine.run_sessions_with(sessions, |index, session, _wire_probes| {
+            rows[members[index]] = Some(streamed_scenario(session.finish(), config));
+        });
     }
     rows
 }
@@ -540,17 +478,9 @@ fn sweep_rows(
     internet: &SyntheticInternet,
     config: &RouterSurveyConfig,
 ) -> Vec<Option<PerScenario>> {
-    let chunk_size = config
-        .sweep_batch
-        .max(1)
-        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-    let chunks = config.scenarios.div_ceil(chunk_size);
-    let nested: Vec<Vec<Option<PerScenario>>> = ordered_parallel_map(chunks, config.workers, |b| {
-        let ids: Vec<usize> =
-            (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
-        sweep_chunk(internet, config, &ids)
-    });
-    nested.into_iter().flatten().collect()
+    sweep_chunks(config.scenarios, config.workers, SWEEP_CHUNK, |ids| {
+        sweep_chunk(internet, config, ids)
+    })
 }
 
 /// Folds the per-scenario rows (in scenario order) into the report.
@@ -823,7 +753,7 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(3));
         let base = RouterSurveyConfig {
             scenarios: 24,
-            workers: 2,
+            workers: 5, // deliberately uneven chunks: four of 5, one of 4
             trace_seed: 99,
             rounds: RoundsConfig {
                 rounds: 3,
@@ -831,9 +761,6 @@ mod tests {
                 ..RoundsConfig::default()
             },
             with_direct_comparison: true,
-            sweep_batch: 7,      // deliberately uneven chunks
-            sweep_in_flight: 48, // small enough that admission actually streams
-            ..RouterSurveyConfig::default()
         };
         let streamed = run_router_survey(&internet, &base);
         let blocking = aggregate(blocking_rows(&internet, &base), base.rounds.rounds as usize);
@@ -861,14 +788,14 @@ mod tests {
         );
     }
 
-    /// Chunking, worker counts and the in-flight budget are pure
-    /// scheduling on the streamed path: rows come back under source
-    /// indices, so scenarios are reported in source order and the report
-    /// is identical however the sweep is sliced.
+    /// Chunking (which follows the worker count) is pure scheduling on
+    /// the streamed path: rows come back under source indices, so
+    /// scenarios are reported in source order and the report is
+    /// identical however the sweep is sliced.
     #[test]
     fn streamed_rows_keep_source_order() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(7));
-        let run = |sweep_batch: usize, sweep_in_flight: usize, workers: usize| {
+        let run = |workers: usize| {
             run_router_survey(
                 &internet,
                 &RouterSurveyConfig {
@@ -881,14 +808,11 @@ mod tests {
                         ..RoundsConfig::default()
                     },
                     with_direct_comparison: false,
-                    sweep_batch,
-                    sweep_in_flight,
-                    ..RouterSurveyConfig::default()
                 },
             )
         };
-        let a = run(18, 16, 1); // one chunk, tight budget: heavy streaming
-        let b = run(5, 512, 4); // many chunks, budget admits whole chunks
+        let a = run(1); // one chunk of 18
+        let b = run(4); // chunks of 5, 5, 5 and 3
         assert!(
             a.scenario_ids.windows(2).all(|w| w[0] < w[1]),
             "rows must be in ascending source order: {:?}",
@@ -898,43 +822,6 @@ mod tests {
         assert_eq!(a.round_metrics, b.round_metrics);
         assert_eq!(a.router_sizes_distinct, b.router_sizes_distinct);
         assert_eq!(a.resolution_counts, b.resolution_counts);
-    }
-
-    /// Engine sharding is pure scheduling on the survey too: every
-    /// aggregate matches the single-engine run bit for bit.
-    #[test]
-    fn sharded_survey_matches_single_engine() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(9));
-        let run = |sweep_shards: usize| {
-            run_router_survey(
-                &internet,
-                &RouterSurveyConfig {
-                    scenarios: 14,
-                    workers: 2,
-                    trace_seed: 31,
-                    rounds: RoundsConfig {
-                        rounds: 2,
-                        replies_per_round: 6,
-                        ..RoundsConfig::default()
-                    },
-                    with_direct_comparison: false,
-                    sweep_batch: 7,
-                    sweep_in_flight: 48,
-                    sweep_shards,
-                    ..RouterSurveyConfig::default()
-                },
-            )
-        };
-        let one = run(1);
-        for shards in [2usize, 3] {
-            let many = run(shards);
-            assert_eq!(one.scenario_ids, many.scenario_ids, "shards={shards}");
-            assert_eq!(one.round_metrics, many.round_metrics);
-            assert_eq!(one.router_sizes_distinct, many.router_sizes_distinct);
-            assert_eq!(one.router_sizes_aggregated, many.router_sizes_aggregated);
-            assert_eq!(one.resolution_counts, many.resolution_counts);
-            assert_eq!(one.verdicts, many.verdicts);
-        }
     }
 
     /// Scenarios that traverse the shared core structures overlap in
@@ -978,73 +865,6 @@ mod tests {
         assert_eq!(all, vec![0, 1]);
     }
 
-    /// Cost-aware admission is pure scheduling on the survey too: every
-    /// aggregate matches the default streaming run bit for bit, and the
-    /// fanned survey — a deterministic protocol variant — is itself
-    /// identical across admission policies.
-    #[test]
-    fn cost_aware_survey_matches_streaming() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(5));
-        let base = RouterSurveyConfig {
-            scenarios: 16,
-            workers: 2,
-            trace_seed: 42,
-            rounds: RoundsConfig {
-                rounds: 2,
-                replies_per_round: 6,
-                ..RoundsConfig::default()
-            },
-            with_direct_comparison: true,
-            sweep_batch: 8,
-            sweep_in_flight: 48,
-            ..RouterSurveyConfig::default()
-        };
-        let assert_same = |a: &RouterSurveyReport, b: &RouterSurveyReport| {
-            assert_eq!(a.traces, b.traces);
-            assert_eq!(a.scenario_ids, b.scenario_ids);
-            assert_eq!(a.traces_with_aliases, b.traces_with_aliases);
-            assert_eq!(a.router_sizes_distinct, b.router_sizes_distinct);
-            assert_eq!(a.router_sizes_aggregated, b.router_sizes_aggregated);
-            assert_eq!(a.round_metrics, b.round_metrics);
-            assert_eq!(a.verdicts, b.verdicts);
-            assert_eq!(a.resolution_counts, b.resolution_counts);
-            assert_eq!(a.width_before, b.width_before);
-            assert_eq!(a.width_after, b.width_after);
-            assert_eq!(a.width_change, b.width_change);
-        };
-        let streaming = run_router_survey(&internet, &base);
-        assert!(streaming.traces > 2, "population too small to mean much");
-        let cost_aware = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                admission: Admission::CostAware,
-                ..base.clone()
-            },
-        );
-        assert_same(&streaming, &cost_aware);
-
-        let fanned_streaming = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                hop_fanout: true,
-                ..base.clone()
-            },
-        );
-        let fanned_cost_aware = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                hop_fanout: true,
-                admission: Admission::CostAware,
-                ..base.clone()
-            },
-        );
-        assert_same(&fanned_streaming, &fanned_cost_aware);
-        // The fan-out changes per-destination wire order, never which
-        // scenarios trace or how much the trace phase costs.
-        assert_eq!(fanned_streaming.traces, streaming.traces);
-        assert_eq!(fanned_streaming.scenario_ids, streaming.scenario_ids);
-    }
-
     /// Small end-to-end survey exercising the whole pipeline.
     #[test]
     fn small_router_survey() {
@@ -1059,7 +879,6 @@ mod tests {
                 ..RoundsConfig::default()
             },
             with_direct_comparison: true,
-            ..RouterSurveyConfig::default()
         };
         let report = run_router_survey(&internet, &config);
         assert!(report.traces > 5, "some scenarios must carry diamonds");

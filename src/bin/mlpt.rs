@@ -404,6 +404,93 @@ fn admission_name(admission: Admission) -> String {
     }
 }
 
+/// The `stats` object of `sweep --json` and `alias --json`. The
+/// destructuring names every field (no `..`, as in `SweepStats::merge`),
+/// so a counter added to `SweepStats` cannot be left out of the report.
+fn stats_json(stats: &SweepStats) -> serde_json::Value {
+    let SweepStats {
+        dispatch_cycles,
+        probes_sent,
+        replies_delivered,
+        malformed_replies,
+        mismatched_replies,
+        max_batch,
+        sessions_admitted,
+        sessions_completed,
+        sessions_deferred,
+        clean_cycles,
+        lossy_cycles,
+        budget_backoffs,
+        lane_backoffs,
+        final_in_flight_budget,
+        probes_timed_out,
+        retries_exhausted,
+        sessions_partial,
+        max_lane_backoff_depth,
+        probes_elided,
+        stop_set_hits,
+        retries_elided,
+        artifacts_detected,
+        route_recoveries,
+        reprobes_sent,
+        route_changed_partials,
+        stop_set_stale_hits,
+        stop_set_evictions,
+        generation_barrier_stalls,
+    } = *stats;
+    serde_json::json!({
+        "dispatch_cycles": dispatch_cycles,
+        "probes_sent": probes_sent,
+        "replies_delivered": replies_delivered,
+        "malformed_replies": malformed_replies,
+        "mismatched_replies": mismatched_replies,
+        "max_batch": max_batch,
+        "probes_per_dispatch": stats.probes_per_dispatch(),
+        "sessions_admitted": sessions_admitted,
+        "sessions_completed": sessions_completed,
+        "sessions_deferred": sessions_deferred,
+        "clean_cycles": clean_cycles,
+        "lossy_cycles": lossy_cycles,
+        "budget_backoffs": budget_backoffs,
+        "lane_backoffs": lane_backoffs,
+        "final_in_flight_budget": final_in_flight_budget,
+        "probes_timed_out": probes_timed_out,
+        "retries_exhausted": retries_exhausted,
+        "retries_elided": retries_elided,
+        "sessions_partial": sessions_partial,
+        "max_lane_backoff_depth": max_lane_backoff_depth,
+        "probes_elided": probes_elided,
+        "stop_set_hits": stop_set_hits,
+        "artifacts_detected": artifacts_detected,
+        "route_recoveries": route_recoveries,
+        "reprobes_sent": reprobes_sent,
+        "route_changed_partials": route_changed_partials,
+        "stop_set_stale_hits": stop_set_stale_hits,
+        "stop_set_evictions": stop_set_evictions,
+        "generation_barrier_stalls": generation_barrier_stalls,
+    })
+}
+
+/// The `per_shard` array of `sweep --json` and `alias --json`: one
+/// object of dispatch and backoff counters per engine shard.
+fn per_shard_json(per_shard: &[SweepStats]) -> serde_json::Value {
+    serde_json::Value::Array(
+        per_shard
+            .iter()
+            .map(|s| {
+                serde_json::json!({
+                    "dispatch_cycles": s.dispatch_cycles,
+                    "probes_sent": s.probes_sent,
+                    "probes_timed_out": s.probes_timed_out,
+                    "retries_exhausted": s.retries_exhausted,
+                    "budget_backoffs": s.budget_backoffs,
+                    "lane_backoffs": s.lane_backoffs,
+                })
+            })
+            .collect(),
+    )
+}
+
 /// Builds the sweep's shared-stop-set configuration from the CLI
 /// flags: `--stop-set` arms it, `--start-ttl` pins a fixed mid-path
 /// start TTL (otherwise the engine adapts it from committed
@@ -782,53 +869,9 @@ fn cmd_sweep(args: &[String]) {
             "adaptive_budget": opts.adaptive,
             "max_in_flight": opts.budget,
             "shards": opts.shards,
-            "per_shard": per_shard.as_ref().map(|shards| {
-                shards
-                    .iter()
-                    .map(|s| {
-                        serde_json::json!({
-                            "dispatch_cycles": s.dispatch_cycles,
-                            "probes_sent": s.probes_sent,
-                            "probes_timed_out": s.probes_timed_out,
-                            "retries_exhausted": s.retries_exhausted,
-                            "budget_backoffs": s.budget_backoffs,
-                            "lane_backoffs": s.lane_backoffs,
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            }),
+            "per_shard": per_shard.as_deref().map(per_shard_json),
             "destinations": destinations,
-            "stats": {
-                "dispatch_cycles": stats.dispatch_cycles,
-                "probes_sent": stats.probes_sent,
-                "replies_delivered": stats.replies_delivered,
-                "malformed_replies": stats.malformed_replies,
-                "mismatched_replies": stats.mismatched_replies,
-                "max_batch": stats.max_batch,
-                "probes_per_dispatch": stats.probes_per_dispatch(),
-                "sessions_admitted": stats.sessions_admitted,
-                "sessions_completed": stats.sessions_completed,
-                "sessions_deferred": stats.sessions_deferred,
-                "clean_cycles": stats.clean_cycles,
-                "lossy_cycles": stats.lossy_cycles,
-                "budget_backoffs": stats.budget_backoffs,
-                "lane_backoffs": stats.lane_backoffs,
-                "final_in_flight_budget": stats.final_in_flight_budget,
-                "probes_timed_out": stats.probes_timed_out,
-                "retries_exhausted": stats.retries_exhausted,
-                "retries_elided": stats.retries_elided,
-                "sessions_partial": stats.sessions_partial,
-                "max_lane_backoff_depth": stats.max_lane_backoff_depth,
-                "probes_elided": stats.probes_elided,
-                "stop_set_hits": stats.stop_set_hits,
-                "artifacts_detected": stats.artifacts_detected,
-                "route_recoveries": stats.route_recoveries,
-                "reprobes_sent": stats.reprobes_sent,
-                "route_changed_partials": stats.route_changed_partials,
-                "stop_set_stale_hits": stats.stop_set_stale_hits,
-                "stop_set_evictions": stats.stop_set_evictions,
-                "generation_barrier_stalls": stats.generation_barrier_stalls,
-            },
+            "stats": stats_json(&stats),
         });
         println!(
             "{}",
@@ -1250,51 +1293,9 @@ fn cmd_alias(args: &[String]) {
             "hop_fanout": fanout,
             "sub_sweeps": sub_sweeps,
             "shards": shards,
-            "per_shard": (shards > 1).then(|| {
-                per_shard
-                    .iter()
-                    .map(|s| {
-                        serde_json::json!({
-                            "dispatch_cycles": s.dispatch_cycles,
-                            "probes_sent": s.probes_sent,
-                            "probes_timed_out": s.probes_timed_out,
-                            "retries_exhausted": s.retries_exhausted,
-                            "budget_backoffs": s.budget_backoffs,
-                            "lane_backoffs": s.lane_backoffs,
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            }),
+            "per_shard": (shards > 1).then(|| per_shard_json(&per_shard)),
             "scenarios": per_scenario,
-            "stats": {
-                "dispatch_cycles": stats.dispatch_cycles,
-                "probes_sent": stats.probes_sent,
-                "replies_delivered": stats.replies_delivered,
-                "max_batch": stats.max_batch,
-                "probes_per_dispatch": stats.probes_per_dispatch(),
-                "sessions_admitted": stats.sessions_admitted,
-                "sessions_completed": stats.sessions_completed,
-                "sessions_deferred": stats.sessions_deferred,
-                "clean_cycles": stats.clean_cycles,
-                "lossy_cycles": stats.lossy_cycles,
-                "budget_backoffs": stats.budget_backoffs,
-                "lane_backoffs": stats.lane_backoffs,
-                "final_in_flight_budget": stats.final_in_flight_budget,
-                "probes_timed_out": stats.probes_timed_out,
-                "retries_exhausted": stats.retries_exhausted,
-                "retries_elided": stats.retries_elided,
-                "sessions_partial": stats.sessions_partial,
-                "max_lane_backoff_depth": stats.max_lane_backoff_depth,
-                "probes_elided": stats.probes_elided,
-                "stop_set_hits": stats.stop_set_hits,
-                "artifacts_detected": stats.artifacts_detected,
-                "route_recoveries": stats.route_recoveries,
-                "reprobes_sent": stats.reprobes_sent,
-                "route_changed_partials": stats.route_changed_partials,
-                "stop_set_stale_hits": stats.stop_set_stale_hits,
-                "stop_set_evictions": stats.stop_set_evictions,
-                "generation_barrier_stalls": stats.generation_barrier_stalls,
-            },
+            "stats": stats_json(&stats),
         });
         println!(
             "{}",

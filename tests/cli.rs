@@ -675,6 +675,49 @@ fn alias_json_reports_rounds_and_counters() {
     assert!(report["stats"]["probes_per_dispatch"].as_f64() > Some(1.0));
 }
 
+/// The alias JSON carries the full four-bucket ledger: every probe put
+/// on the wire ends as exactly one of timed out, delivered, malformed
+/// or mismatched.
+#[test]
+fn alias_json_stats_partition_probes_sent() {
+    let out = mlpt()
+        .args([
+            "alias",
+            "3",
+            "7",
+            "--rounds",
+            "2",
+            "--replies",
+            "6",
+            "--fault-schedule",
+            "jitter-spread",
+            "--probe-timeout",
+            "4",
+            "--json",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    let stats = &report["stats"];
+    let bucket = |key: &str| {
+        stats[key]
+            .as_u64()
+            .unwrap_or_else(|| panic!("stats must carry {key}"))
+    };
+    assert!(
+        bucket("probes_timed_out") > 0,
+        "the jitter must cost deadlines"
+    );
+    assert_eq!(
+        bucket("probes_timed_out")
+            + bucket("replies_delivered")
+            + bucket("malformed_replies")
+            + bucket("mismatched_replies"),
+        bucket("probes_sent")
+    );
+}
+
 /// `--stdin` reads scenario numbers (comments and blanks skipped); bad
 /// input and empty target lists are rejected.
 #[test]
